@@ -6,7 +6,7 @@ term 1; the checker then re-evaluates each equation's residual from
 scratch on the truncation window.
 """
 
-from qgordon import check_k2_example, check_recursions, solve, unnormalize
+from qgordon import check_k2_example, check_recursions, solve
 
 R, N = 10, 30
 
@@ -36,5 +36,5 @@ print()
 
 print("Normalization prefactors (charge offset, conformal weight):")
 for i in range(3):
-    (offset, h), _ = unnormalize(fam.members[i], fam.member_weight_data(i))
-    print(f"  member {i}: x^{offset} q^{h}")
+    wd = fam.member_weight_data(i)
+    print(f"  member {i}: x^{wd.charge_offset} q^{wd.h}")

@@ -43,7 +43,6 @@ from .selberg import (
     check_recursions,
     check_rr_recursion,
     solve,
-    unnormalize,
     weight_data,
 )
 from .ideal_quotient import (
@@ -97,7 +96,6 @@ __all__ = [
     "r_polynomial",
     "solve",
     "specialize_x",
-    "unnormalize",
     "weight_data",
     "zero",
 ]

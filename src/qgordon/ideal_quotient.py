@@ -79,9 +79,6 @@ class YMonomial:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def times(self, other: YMonomial) -> YMonomial:
-        return YMonomial(tuple(sorted(self.parts + other.parts, reverse=True)))
-
 
 def r_polynomial(k: int, w: int) -> list[tuple[YMonomial, int]]:
     """The charge-(k+1), weight-w generator as (monomial, multiplicity) pairs.

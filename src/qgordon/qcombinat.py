@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .series import BiSeries, one, invert_one_minus_q_power
+from .series import BiSeries, div_one_minus_q_power, mul_one_minus_q_power
 
 
 @dataclass(frozen=True)
@@ -87,43 +87,36 @@ def pochhammer(n: int, q_order: int) -> BiSeries:
     """(1-q)(1-q^2)...(1-q^n) truncated at q_order; the empty product is 1."""
     if n < 0:
         raise ValueError("need n >= 0")
-    N = q_order
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
+    row = [1] + [0] * q_order
     for i in range(1, n + 1):
-        # multiply in place by (1 - q^i), highest power first
-        for b in range(N, i - 1, -1):
-            coeffs[b] -= coeffs[b - i]
-    return BiSeries(0, N, [coeffs])
+        mul_one_minus_q_power(row, i)
+    return BiSeries(0, q_order, [row])
 
 
 def inverse_pochhammer(n: int, q_order: int) -> BiSeries:
     """1/((1-q)...(1-q^n)): the generating function of partitions into parts <= n."""
     if n < 0:
         raise ValueError("need n >= 0")
-    N = q_order
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
+    row = [1] + [0] * q_order
     for i in range(1, n + 1):
-        for b in range(i, N + 1):
-            coeffs[b] += coeffs[b - i]
-    return BiSeries(0, N, [coeffs])
+        div_one_minus_q_power(row, i)
+    return BiSeries(0, q_order, [row])
 
 
 def gordon_product(cond: GordonCondition, q_order: int) -> BiSeries:
     """Product of 1/(1-q^i) over i <= q_order in the admissible residue classes.
 
     Factors whose smallest exponent exceeds the window are identically 1
-    there and are skipped. One geometric-series factor is multiplied in at
-    a time, truncating after each, so intermediates stay O(q_order).
+    there and are skipped. One row is divided in place by each factor's
+    1 - q^i, so the whole product costs O(q_order) per factor.
     """
     if q_order < 0:
         raise ValueError("need q_order >= 0")
-    result = one(0, q_order)
+    row = [1] + [0] * q_order
     for i in range(1, q_order + 1):
         if cond.allows_part(i):
-            result = result * invert_one_minus_q_power(i, 0, q_order)
-    return result
+            div_one_minus_q_power(row, i)
+    return BiSeries(0, q_order, [row])
 
 
 # -- Andrews-Gordon multisum ----------------------------------------------------
@@ -145,35 +138,17 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
     R, N = x_order, q_order
     rows = [[0] * (N + 1) for _ in range(R + 1)]
 
-    inv_cache: dict[int, tuple[int, ...]] = {}
-
-    def inv_row(n: int) -> tuple[int, ...]:
-        if n not in inv_cache:
-            inv_cache[n] = inverse_pochhammer(n, N).row(0)
-        return inv_cache[n]
-
     def emit(tup: tuple[int, ...]) -> None:
         m = sum(tup)
         energy = sum(v * v for v in tup) + sum(tup[i:])
         if m > R or energy > N:
             return
-        # denominator factors, aligned with the difference variables
+        # divide by (q)_d for each difference variable d: N_j - N_(j+1), N_k
         diffs = [tup[j] - tup[j + 1] for j in range(k - 1)] + [tup[k - 1]]
-        den = [0] * (N - energy + 1)
-        den[0] = 1
+        den = [1] + [0] * (N - energy)
         for d in diffs:
-            if d == 0:
-                continue
-            src = inv_row(d)
-            nxt = [0] * len(den)
-            for b1, c1 in enumerate(den):
-                if not c1:
-                    continue
-                for b2 in range(len(den) - b1):
-                    c2 = src[b2]
-                    if c2:
-                        nxt[b1 + b2] += c1 * c2
-            den = nxt
+            for j in range(1, d + 1):
+                div_one_minus_q_power(den, j)
         target = rows[m]
         for b, c in enumerate(den):
             if c:

@@ -13,7 +13,7 @@ substituting the second gives
     a_(k,m) (1 - q^m) = q^m (a_(k-1,m-1) + a_(k-2,m-2) + ... )
 
 whose right side involves only x-degrees below m, so a_(k,m) follows by
-multiplying with the geometric series for 1/(1 - q^m); then
+dividing by 1 - q^m in place; then
 a_(0,m) = q^m a_(k,m) and a_(i,m) = a_(i-1,m) + q^m a_(k-i,m-i) fill in the
 rest. Every step is exact in the truncated ring.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import BiSeries
+from .series import BiSeries, div_one_minus_q_power, shift_row
 
 
 @dataclass(frozen=True)
@@ -89,40 +89,13 @@ class RecursionFamily:
     @classmethod
     def from_json_dict(cls, obj: dict) -> RecursionFamily:
         try:
-            k = int(obj["k"])
-            R = int(obj["x_order"])
-            N = int(obj["q_order"])
+            k, R, N = obj["k"], obj["x_order"], obj["q_order"]
+            if type(k) is not int or type(R) is not int or type(N) is not int:
+                raise ValueError("k and the orders must be integers")
             members = tuple(BiSeries.from_json_dict(f) for f in obj["F"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed family object: {exc}") from None
         return cls(k=k, x_order=R, q_order=N, members=members)
-
-
-# -- univariate helpers (rows of fixed x-degree) --------------------------------
-
-
-def _mul_trunc(u: list[int], v: list[int], N: int) -> list[int]:
-    out = [0] * (N + 1)
-    for a, ca in enumerate(u):
-        if ca:
-            for b in range(N + 1 - a):
-                cb = v[b]
-                if cb:
-                    out[a + b] += ca * cb
-    return out
-
-
-def _shift_q(u: list[int], m: int, N: int) -> list[int]:
-    if m > N:
-        return [0] * (N + 1)
-    return [0] * m + u[: N + 1 - m]
-
-
-def _geometric(m: int, N: int) -> list[int]:
-    out = [0] * (N + 1)
-    for b in range(0, N + 1, m):
-        out[b] = 1
-    return out
 
 
 # -- solver ---------------------------------------------------------------------
@@ -145,13 +118,14 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
             src = a[k - j][m - j]
             for b in range(N + 1):
                 total[b] += src[b]
-        top = _mul_trunc(_shift_q(total, m, N), _geometric(m, N), N)
+        top = shift_row(total, m)
+        div_one_minus_q_power(top, m)
         a[k][m] = top
-        a[0][m] = _shift_q(top, m, N)
+        a[0][m] = shift_row(top, m)
         for i in range(1, k + 1):
             prev = a[i - 1][m]
             if m - i >= 0:
-                bump = _shift_q(a[k - i][m - i], m, N)
+                bump = shift_row(a[k - i][m - i], m)
                 a[i][m] = [p + s for p, s in zip(prev, bump)]
             else:
                 a[i][m] = list(prev)
@@ -197,15 +171,3 @@ def check_k2_example(fam: RecursionFamily) -> list[BiSeries]:
         F2 - F0.qshift(1).mul_monomial(2, 2) - F1,
         F0 - F2.qshift(1),
     ]
-
-
-def unnormalize(
-    series: BiSeries, wd: WeightData
-) -> tuple[tuple[Fraction, Fraction], BiSeries]:
-    """Pair the series with the monomial prefactor (charge_offset, h) that
-    turns it into the full character x^offset q^h * series.
-
-    Fractional exponents never enter the integer-graded series; they exist
-    only in the returned prefactor pair.
-    """
-    return (wd.charge_offset, wd.h), series

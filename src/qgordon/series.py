@@ -12,7 +12,38 @@ Values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+
+# -- truncated rows -------------------------------------------------------------
+#
+# A row is the coefficient list [c_0, ..., c_N] of a univariate q-series
+# truncated at q^N. These three functions are the only truncated univariate
+# arithmetic of the solver, the multisum and the products; the partition
+# enumerators and the ideal-quotient oracle stay outside them, so they remain
+# an independent check on them.
+
+
+def shift_row(row: Sequence[int], m: int) -> list[int]:
+    """A new row holding row * q^m, truncated at the length of row."""
+    size = len(row)
+    if m >= size:
+        return [0] * size
+    return [0] * m + list(row[: size - m])
+
+
+def mul_one_minus_q_power(row: list[int], i: int) -> None:
+    """Multiply row in place by (1 - q^i), highest power first."""
+    for b in range(len(row) - 1, i - 1, -1):
+        row[b] -= row[b - i]
+
+
+def div_one_minus_q_power(row: list[int], i: int) -> None:
+    """Divide row in place by (1 - q^i), i.e. multiply by 1 + q^i + q^2i + ..."""
+    if i < 1:
+        raise ValueError("need i >= 1: 1 - q^0 = 0 has no inverse")
+    for b in range(i, len(row)):
+        row[b] += row[b - i]
 
 
 class BiSeries:
@@ -166,15 +197,8 @@ class BiSeries:
         """
         if m < 0:
             raise ValueError("negative q-shift is not supported")
-        R, N = self.x_order, self.q_order
-        rows = []
-        for a, row in enumerate(self._rows):
-            shift = m * a
-            if shift > N:
-                rows.append([0] * (N + 1))
-            else:
-                rows.append([0] * shift + list(row[: N + 1 - shift]))
-        return BiSeries(R, N, rows)
+        rows = [shift_row(row, m * a) for a, row in enumerate(self._rows)]
+        return BiSeries(self.x_order, self.q_order, rows)
 
     def mul_monomial(self, a0: int, b0: int) -> BiSeries:
         """Multiply by x^a0 q^b0, discarding terms leaving the window."""
@@ -211,23 +235,37 @@ class BiSeries:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> BiSeries:
+        """Inverse of to_json_dict. Orders and indices must be JSON integers,
+        and terms nonzero, in the window, and strictly increasing in (a, b)."""
         try:
-            R = int(obj["x_order"])
-            N = int(obj["q_order"])
-            raw_terms = obj["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+            R, N, raw_terms = obj["x_order"], obj["q_order"], obj["terms"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed series object: {exc}") from None
+        if type(R) is not int or type(N) is not int or R < 0 or N < 0:
+            raise ValueError("malformed series object: orders must be integers >= 0")
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
         rows = [[0] * (N + 1) for _ in range(R + 1)]
+        last = (-1, -1)
         for entry in raw_terms:
             try:
-                a, b, c = int(entry[0]), int(entry[1]), int(str(entry[2]), 10)
-            except (TypeError, ValueError, IndexError) as exc:
+                a, b, c = entry
+                c = int(str(c), 10)
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"malformed term {entry!r}: {exc}") from None
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"malformed term {entry!r}: indices must be integers")
             if not (0 <= a <= R and 0 <= b <= N):
                 raise ValueError(f"term ({a},{b}) outside declared window ({R},{N})")
+            if (a, b) <= last:
+                raise ValueError(
+                    f"term ({a},{b}) does not follow ({last[0]},{last[1]}): "
+                    "terms must be distinct and sorted"
+                )
+            if c == 0:
+                raise ValueError(f"term ({a},{b}) has coefficient zero")
             rows[a][b] = c
+            last = (a, b)
         return cls(R, N, rows)
 
 
@@ -265,12 +303,9 @@ def invert_one_minus_q_power(m: int, x_order: int, q_order: int) -> BiSeries:
 
     Within the window, (1 - q^m) * result == 1 holds identically.
     """
-    if m < 1:
-        raise ValueError("need m >= 1: 1 - q^0 = 0 has no inverse")
-    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
-    for b in range(0, q_order + 1, m):
-        rows[0][b] = 1
-    return BiSeries(x_order, q_order, rows)
+    unit = [1] + [0] * q_order
+    div_one_minus_q_power(unit, m)
+    return BiSeries(x_order, q_order, [unit] + [[0] * (q_order + 1)] * x_order)
 
 
 def specialize_x(series: BiSeries, mode: str) -> tuple[BiSeries, int]:

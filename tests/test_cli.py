@@ -171,6 +171,30 @@ def test_check_recursions_usage_errors(tmp_path, capsys):
     assert run(capsys, "check-recursions", "--input", str(malformed))[0] == 2
 
 
+def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
+    _, out, _ = run(capsys, "solve", "--k", "1", "--xmax", "2", "--qmax", "4",
+                    "--format", "json")
+    good = json.loads(out)
+    assert good["F"][0]["terms"][:2] == [[0, 0, "1"], [1, 2, "1"]]
+    edits = [
+        lambda obj: obj.update(k=True),
+        lambda obj: obj.update(x_order=2.0),
+        lambda obj: obj["F"][0]["terms"].insert(1, [0, 0, "1"]),  # duplicate
+        lambda obj: obj["F"][0]["terms"].reverse(),  # unsorted
+        lambda obj: obj["F"][0]["terms"].insert(1, [0, 1, "0"]),  # zero
+        lambda obj: obj["F"][0]["terms"][1].__setitem__(0, 1.9),  # float index
+        lambda obj: obj["F"][0]["terms"][1].__setitem__(0, True),  # bool index
+    ]
+    for n, edit in enumerate(edits):
+        obj = json.loads(out)
+        edit(obj)
+        path = tmp_path / f"bad{n}.json"
+        path.write_text(json.dumps(obj))
+        code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
+        assert (code, stdout) == (2, ""), n
+        assert "malformed" in err, n
+
+
 def test_output_determinism(capsys):
     first = run(capsys, "solve", "--k", "2", "--xmax", "5", "--qmax", "12",
                 "--format", "json")

@@ -63,7 +63,6 @@ def test_partitions_exact():
 def test_ymonomial():
     m = YMonomial((3, 1, 1))
     assert m.charge == 3 and m.weight == 5
-    assert m.times(YMonomial((2,))) == YMonomial((3, 2, 1, 1))
     with pytest.raises(ValueError):
         YMonomial((1, 3))
 

@@ -15,7 +15,6 @@ from qgordon import (
     monomial,
     one,
     solve,
-    unnormalize,
     weight_data,
     zero,
 )
@@ -119,16 +118,18 @@ def test_weight_data_values():
 
 
 def test_unnormalize_prefactors():
+    # member i carries the weight i*L0 + (k-i)*L1, whose prefactor
+    # x^charge_offset q^h turns the member series into the full character
+    def prefactor(fam, i):
+        wd = fam.member_weight_data(i)
+        return wd.charge_offset, wd.h
+
     fam = solve(1, 3, 6)
-    (offset, h), series = unnormalize(fam.members[0], fam.member_weight_data(0))
-    assert (offset, h) == (Fraction(1, 2), Fraction(1, 4))
-    assert series == fam.members[0]
-    (offset, h), _ = unnormalize(fam.members[1], fam.member_weight_data(1))
-    assert (offset, h) == (Fraction(0), Fraction(0))
+    assert prefactor(fam, 0) == (Fraction(1, 2), Fraction(1, 4))
+    assert prefactor(fam, 1) == (Fraction(0), Fraction(0))
 
     fam2 = solve(2, 3, 6)
-    (offset, h), _ = unnormalize(fam2.members[0], fam2.member_weight_data(0))
-    assert (offset, h) == (Fraction(1), Fraction(1, 2))
+    assert prefactor(fam2, 0) == (Fraction(1), Fraction(1, 2))
 
 
 def test_window_extension_consistency():

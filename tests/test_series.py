@@ -189,3 +189,25 @@ def test_json_validation():
         BiSeries.from_json_dict({"x_order": 1, "q_order": 1, "terms": 7})
     with pytest.raises(ValueError):
         BiSeries.from_json_dict(["not", "a", "dict"])
+
+
+@pytest.mark.parametrize(
+    "terms, orders",
+    [
+        pytest.param([[0, 0, "1"], [0, 0, "2"]], (1, 1), id="duplicate-term"),
+        pytest.param([[1.9, 0, "1"]], (1, 1), id="float-index"),
+        pytest.param([[True, 0, "1"]], (1, 1), id="bool-index"),
+        pytest.param([[0, 1, "1"], [0, 0, "1"]], (1, 1), id="unsorted-terms"),
+        pytest.param([[1, 0, "1"], [0, 1, "1"]], (1, 1), id="unsorted-in-a"),
+        pytest.param([[0, 0, "0"]], (1, 1), id="zero-coefficient"),
+        pytest.param([[0, 0, "1", 9]], (1, 1), id="extra-field"),
+        pytest.param([[0, 0, "1"]], (1.0, 1), id="float-order"),
+        pytest.param([[0, 0, "1"]], (1, True), id="bool-order"),
+        pytest.param([[0, 0, "1"]], ("1", 1), id="string-order"),
+        pytest.param([], (-1, 1), id="negative-order"),
+    ],
+)
+def test_json_rejects_non_canonical_terms(terms, orders):
+    obj = {"x_order": orders[0], "q_order": orders[1], "terms": terms}
+    with pytest.raises(ValueError):
+        BiSeries.from_json_dict(obj)
