@@ -25,11 +25,11 @@ from .qcombinat import (
     min_gordon_weight,
 )
 from .selberg import RecursionFamily, check_recursions, solve
-from .series import BiSeries, specialize_x
+from .series import MAX_CELLS, BiSeries, specialize_x
 
-# crosscheck builds full ideal-quotient tables; beyond this window the exact
-# rank computations stop being interactive-fast, so larger requests are
-# rejected as usage errors rather than left to crawl
+# oracle and crosscheck build full ideal-quotient tables; beyond this window
+# the exact rank computations stop being interactive-fast, so larger requests
+# are rejected as usage errors rather than left to crawl
 ORACLE_MAX_M = 8
 ORACLE_MAX_W = 20
 
@@ -87,6 +87,18 @@ def _usage(message: str) -> int:
     return 2
 
 
+def _oracle_window_problem(mmax: int, wmax: int) -> str | None:
+    """Why (mmax, wmax) is no window for the ideal-quotient route, or None."""
+    if mmax < 0 or wmax < 0:
+        return "--mmax and --wmax must be >= 0"
+    if mmax > ORACLE_MAX_M or wmax > ORACLE_MAX_W:
+        return (
+            f"window too large for the ideal-quotient route "
+            f"(soft limit m<={ORACLE_MAX_M}, w<={ORACLE_MAX_W})"
+        )
+    return None
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -95,6 +107,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _usage("--k must be >= 1")
     if args.xmax < 0 or args.qmax < 0:
         return _usage("--xmax and --qmax must be >= 0")
+    if (args.k + 1) * (args.xmax + 1) * (args.qmax + 1) > MAX_CELLS:
+        return _usage(f"window has more than MAX_CELLS={MAX_CELLS} coefficients")
     fam = solve(args.k, args.xmax, args.qmax)
     if args.format == "json":
         print(json.dumps(fam.to_json_dict()))
@@ -164,8 +178,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return _usage("--k must be >= 1")
     if not 1 <= args.e <= args.k + 1:
         return _usage("--e must satisfy 1 <= e <= k+1")
-    if args.mmax < 0 or args.wmax < 0:
-        return _usage("--mmax and --wmax must be >= 0")
+    problem = _oracle_window_problem(args.mmax, args.wmax)
+    if problem:
+        return _usage(problem)
     print(
         f"building ideal-quotient table k={args.k} e={args.e} "
         f"(m<={args.mmax}, w<={args.wmax})",
@@ -182,13 +197,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     if args.k < 1:
         return _usage("--k must be >= 1")
-    if args.mmax < 0 or args.wmax < 0:
-        return _usage("--mmax and --wmax must be >= 0")
-    if args.mmax > ORACLE_MAX_M or args.wmax > ORACLE_MAX_W:
-        return _usage(
-            f"window too large for the ideal-quotient route "
-            f"(soft limit m<={ORACLE_MAX_M}, w<={ORACLE_MAX_W})"
-        )
+    problem = _oracle_window_problem(args.mmax, args.wmax)
+    if problem:
+        return _usage(problem)
     mmax, wmax = args.mmax, args.wmax
     window = f"x<={mmax},q<={wmax}"
     fam = solve(args.k, mmax, wmax)
@@ -215,7 +226,7 @@ def cmd_check_recursions(args: argparse.Namespace) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         fam = RecursionFamily.from_json_dict(obj)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _usage(f"cannot load family from {args.input!r}: {exc}")
     residuals = check_recursions(fam)
     labels = [f"difference-eq[i={i}]" for i in range(1, fam.k + 1)] + ["shift-eq"]
@@ -266,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="emit an ideal-quotient dimension table")
     p.add_argument("--k", type=int, required=True, help="level, k >= 1")
     p.add_argument("--e", type=int, required=True, help="y-power exponent, 1..k+1")
-    p.add_argument("--mmax", type=int, required=True, help="charge bound")
-    p.add_argument("--wmax", type=int, required=True, help="weight bound")
+    p.add_argument("--mmax", type=int, required=True, help=f"charge bound (<= {ORACLE_MAX_M})")
+    p.add_argument("--wmax", type=int, required=True, help=f"weight bound (<= {ORACLE_MAX_W})")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_oracle)
 

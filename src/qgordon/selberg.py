@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import BiSeries, div_one_minus_q_power, shift_row
+from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,22 @@ class RecursionFamily:
     @classmethod
     def from_json_dict(cls, obj: dict) -> RecursionFamily:
         try:
-            k, R, N = obj["k"], obj["x_order"], obj["q_order"]
+            k, R, N, F = obj["k"], obj["x_order"], obj["q_order"], obj["F"]
             if type(k) is not int or type(R) is not int or type(N) is not int:
                 raise ValueError("k and the orders must be integers")
-            members = tuple(BiSeries.from_json_dict(f) for f in obj["F"])
+            if k < 1 or R < 0 or N < 0:
+                raise ValueError("need k >= 1 and orders >= 0")
+            if (k + 1) * (R + 1) * (N + 1) > MAX_CELLS:
+                raise ValueError(
+                    f"{k + 1} members at ({R},{N}) exceed MAX_CELLS={MAX_CELLS} cells"
+                )
+            # every member must declare the family window before any is
+            # loaded, so no member allocates more than its share of the cap
+            if not isinstance(F, list) or len(F) != k + 1:
+                raise ValueError(f"F must be a list of {k + 1} members")
+            if any(f["x_order"] != R or f["q_order"] != N for f in F):
+                raise ValueError("member orders do not match the family window")
+            members = tuple(BiSeries.from_json_dict(f) for f in F)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed family object: {exc}") from None
         return cls(k=k, x_order=R, q_order=N, members=members)
@@ -129,7 +141,7 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
                 a[i][m] = [p + s for p, s in zip(prev, bump)]
             else:
                 a[i][m] = list(prev)
-    members = tuple(BiSeries(R, N, a[i]) for i in range(k + 1))
+    members = tuple(BiSeries._of(a[i]) for i in range(k + 1))
     return RecursionFamily(k=k, x_order=R, q_order=N, members=members)
 
 

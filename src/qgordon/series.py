@@ -14,6 +14,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+# The largest window, in coefficients, that the JSON loaders and the solve
+# command accept: (x_order+1)(q_order+1) for a series, k+1 times that for a
+# family. 10**7 is about 20 times the k=4 (80, 1200) family. Dense tables are
+# allocated from the declared orders, so the orders are checked against this
+# before anything is allocated.
+MAX_CELLS = 10**7
 
 # -- truncated rows -------------------------------------------------------------
 #
@@ -67,6 +73,18 @@ class BiSeries:
         object.__setattr__(self, "q_order", q_order)
         object.__setattr__(self, "_rows", frozen)
 
+    @classmethod
+    def _of(cls, rows: Iterable[Iterable[int]]) -> BiSeries:
+        """Freeze a nonempty rectangular table of ints that this package built
+        itself; the orders are read off its shape and nothing is checked.
+        Caller-supplied data goes through the constructor instead."""
+        self = object.__new__(cls)
+        frozen = tuple(map(tuple, rows))
+        object.__setattr__(self, "x_order", len(frozen) - 1)
+        object.__setattr__(self, "q_order", len(frozen[0]) - 1)
+        object.__setattr__(self, "_rows", frozen)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
 
@@ -77,10 +95,6 @@ class BiSeries:
         if 0 <= a <= self.x_order and 0 <= b <= self.q_order:
             return self._rows[a][b]
         return 0
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        a, b = key
-        return self.coeff(a, b)
 
     def row(self, a: int) -> tuple[int, ...]:
         """All q-coefficients at x-degree a."""
@@ -147,30 +161,18 @@ class BiSeries:
 
     def __add__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
-        return BiSeries(
-            self.x_order,
-            self.q_order,
-            [
-                [c1 + c2 for c1, c2 in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ],
+        return BiSeries._of(
+            [c1 + c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)
         )
 
     def __sub__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
-        return BiSeries(
-            self.x_order,
-            self.q_order,
-            [
-                [c1 - c2 for c1, c2 in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ],
+        return BiSeries._of(
+            [c1 - c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)
         )
 
     def __neg__(self) -> BiSeries:
-        return BiSeries(
-            self.x_order, self.q_order, [[-c for c in row] for row in self._rows]
-        )
+        return BiSeries._of([-c for c in row] for row in self._rows)
 
     def __mul__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
@@ -187,7 +189,7 @@ class BiSeries:
                         c2 = row2[b2]
                         if c2:
                             target[b1 + b2] += c1 * c2
-        return BiSeries(R, N, rows)
+        return BiSeries._of(rows)
 
     def qshift(self, m: int) -> BiSeries:
         """Substitute x -> x q^m: the term x^a q^b moves to x^a q^(b + m a).
@@ -197,31 +199,24 @@ class BiSeries:
         """
         if m < 0:
             raise ValueError("negative q-shift is not supported")
-        rows = [shift_row(row, m * a) for a, row in enumerate(self._rows)]
-        return BiSeries(self.x_order, self.q_order, rows)
+        return BiSeries._of(shift_row(row, m * a) for a, row in enumerate(self._rows))
 
     def mul_monomial(self, a0: int, b0: int) -> BiSeries:
         """Multiply by x^a0 q^b0, discarding terms leaving the window."""
         if a0 < 0 or b0 < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        R, N = self.x_order, self.q_order
-        rows = [[0] * (N + 1) for _ in range(R + 1)]
-        for a in range(R - a0 + 1):
-            src = self._rows[a]
-            dst = rows[a + a0]
-            for b in range(N - b0 + 1):
-                dst[b + b0] = src[b]
-        return BiSeries(R, N, rows)
+        a0 = min(a0, self.x_order + 1)
+        kept = self._rows[: self.x_order + 1 - a0]
+        blank = (0,) * (self.q_order + 1)
+        return BiSeries._of([blank] * a0 + [shift_row(row, b0) for row in kept])
 
     def restrict(self, x_order: int, q_order: int) -> BiSeries:
         """Truncate to a smaller window."""
+        if x_order < 0 or q_order < 0:
+            raise ValueError("orders must be nonnegative")
         if x_order > self.x_order or q_order > self.q_order:
             raise ValueError("restrict cannot enlarge the window")
-        return BiSeries(
-            x_order,
-            q_order,
-            [row[: q_order + 1] for row in self._rows[: x_order + 1]],
-        )
+        return BiSeries._of(row[: q_order + 1] for row in self._rows[: x_order + 1])
 
     # -- serialization -------------------------------------------------------
 
@@ -243,6 +238,8 @@ class BiSeries:
             raise ValueError(f"malformed series object: {exc}") from None
         if type(R) is not int or type(N) is not int or R < 0 or N < 0:
             raise ValueError("malformed series object: orders must be integers >= 0")
+        if (R + 1) * (N + 1) > MAX_CELLS:
+            raise ValueError(f"window ({R},{N}) has more than MAX_CELLS={MAX_CELLS} cells")
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
         rows = [[0] * (N + 1) for _ in range(R + 1)]
@@ -266,7 +263,7 @@ class BiSeries:
                 raise ValueError(f"term ({a},{b}) has coefficient zero")
             rows[a][b] = c
             last = (a, b)
-        return cls(R, N, rows)
+        return cls._of(rows)
 
 
 # -- constructors -------------------------------------------------------------
@@ -277,9 +274,7 @@ def zero(x_order: int, q_order: int) -> BiSeries:
 
 
 def one(x_order: int, q_order: int) -> BiSeries:
-    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
-    rows[0][0] = 1
-    return BiSeries(x_order, q_order, rows)
+    return monomial(0, 0, x_order, q_order)
 
 
 def from_terms(
@@ -333,4 +328,4 @@ def specialize_x(series: BiSeries, mode: str) -> tuple[BiSeries, int]:
                 dropped += 1
     else:
         raise ValueError(f"unknown specialization mode {mode!r}; use 'x=1' or 'x=q'")
-    return BiSeries(0, N, [out]), dropped
+    return BiSeries._of([out]), dropped

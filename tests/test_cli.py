@@ -1,16 +1,41 @@
 """Command line surface: exit codes, formats, and determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from qgordon.cli import main
+import qgordon
+from qgordon.cli import ORACLE_MAX_M, ORACLE_MAX_W, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(*argv, memory_mb=1024):
+    """Run the command in a child process capped at memory_mb of address
+    space, so an unguarded allocation fails there instead of exhausting the
+    machine. Returns (exit code, stdout, stderr, wall seconds)."""
+
+    def cap():
+        limit = memory_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qgordon.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgordon.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 def test_solve_json(capsys):
@@ -38,6 +63,13 @@ def test_solve_usage_errors(capsys):
     assert run(capsys, "solve", "--k", "1", "--xmax", "-1", "--qmax", "2")[0] == 2
     # non-integer flag value is rejected by the parser
     assert run(capsys, "solve", "--k", "x", "--xmax", "2", "--qmax", "2")[0] == 2
+
+
+def test_solve_over_the_cell_cap():
+    code, out, err, wall = run_limited("solve", "--k", "1", "--xmax", "10",
+                                       "--qmax", "100000000", memory_mb=400)
+    assert (code, out) == (2, "")
+    assert "MAX_CELLS" in err and wall < 30
 
 
 def test_no_command_and_unknown_command(capsys):
@@ -95,6 +127,18 @@ def test_oracle_usage(capsys):
                "--wmax", "5")[0] == 2
     assert run(capsys, "oracle", "--k", "2", "--e", "0", "--mmax", "2",
                "--wmax", "5")[0] == 2
+
+
+def test_oracle_window_limit(capsys):
+    over = [("--mmax", str(ORACLE_MAX_M + 4), "--wmax", "40"),
+            ("--mmax", "2", "--wmax", str(ORACLE_MAX_W + 1)),
+            ("--mmax", str(ORACLE_MAX_M + 1), "--wmax", "2")]
+    for window in over:
+        code, out, err = run(capsys, "oracle", "--k", "2", "--e", "1", *window)
+        assert (code, out) == (2, ""), window
+        assert "soft limit" in err
+    edge = ("--mmax", str(ORACLE_MAX_M), "--wmax", "4")
+    assert run(capsys, "oracle", "--k", "1", "--e", "2", *edge)[0] == 0
 
 
 def test_oracle_smallest_exponent_kills_charge_one(capsys):
@@ -184,6 +228,11 @@ def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
         lambda obj: obj["F"][0]["terms"].insert(1, [0, 1, "0"]),  # zero
         lambda obj: obj["F"][0]["terms"][1].__setitem__(0, 1.9),  # float index
         lambda obj: obj["F"][0]["terms"][1].__setitem__(0, True),  # bool index
+        lambda obj: obj["F"].pop(),  # k members for level k
+        lambda obj: obj["F"].append(obj["F"][0]),  # k + 2 members
+        lambda obj: obj["F"][1].update(q_order=3),  # member off the family window
+        lambda obj: obj.update(F={}),
+        lambda obj: obj["F"].__setitem__(1, [0, 0, "1"]),
     ]
     for n, edit in enumerate(edits):
         obj = json.loads(out)
@@ -193,6 +242,41 @@ def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
         code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
         assert (code, stdout) == (2, ""), n
         assert "malformed" in err, n
+
+
+def test_check_recursions_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "check-recursions", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "cannot load family" in err
+
+
+def _declare_family_window(obj, q_order):
+    obj["q_order"] = q_order
+    for member in obj["F"]:
+        member["q_order"] = q_order
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda obj: obj["F"][0].update(x_order=10**30), id="member-window"),
+        pytest.param(lambda obj: obj.update(x_order=10**30), id="family-window"),
+        pytest.param(lambda obj: _declare_family_window(obj, 2 * 10**6), id="family-over-cap"),
+        pytest.param(lambda obj: obj.update(k=10**6), id="level-over-cap"),
+    ],
+)
+def test_check_recursions_refuses_oversized_windows(tmp_path, capsys, edit):
+    _, out, _ = run(capsys, "solve", "--k", "2", "--xmax", "2", "--qmax", "4",
+                    "--format", "json")
+    obj = json.loads(out)
+    edit(obj)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, err, wall = run_limited("check-recursions", "--input", str(path))
+    assert (code, stdout) == (2, "")
+    assert "malformed" in err and wall < 30
 
 
 def test_output_determinism(capsys):

@@ -6,14 +6,20 @@ import pytest
 
 from qgordon import (
     BiSeries,
+    GordonCondition,
+    andrews_gordon_multisum,
     from_terms,
+    gordon_product,
+    inverse_pochhammer,
     invert_one_minus_q_power,
     monomial,
     one,
+    pochhammer,
     solve,
     specialize_x,
     zero,
 )
+from qgordon.series import MAX_CELLS
 
 
 def brute_poly_mul(u, v, N):
@@ -103,6 +109,9 @@ def test_mul_monomial():
     assert t.mul_monomial(1, 1) == from_terms(2, 3, {(1, 1): 1, (2, 2): 1})
     # agrees with multiplication by the monomial series
     assert s.mul_monomial(1, 1) == s * monomial(1, 1, 2, 3)
+    # a0 beyond the window leaves the zero series of the same window
+    assert s.mul_monomial(3, 0) == zero(2, 3)
+    assert s.mul_monomial(7, 1) == zero(2, 3)
 
 
 def test_invert_one_minus_q_power():
@@ -153,8 +162,48 @@ def test_restrict():
     s = from_terms(3, 4, {(0, 0): 1, (1, 1): 2, (3, 4): 9})
     r = s.restrict(1, 2)
     assert r == from_terms(1, 2, {(0, 0): 1, (1, 1): 2})
+    assert s.restrict(0, 0) == one(0, 0)
     with pytest.raises(ValueError):
         s.restrict(4, 4)
+
+
+# every builder that takes its window from the caller, and restrict
+WINDOW_BUILDERS = {
+    "zero": lambda R, N: zero(R, N),
+    "one": lambda R, N: one(R, N),
+    "monomial": lambda R, N: monomial(0, 0, R, N),
+    "from_terms": lambda R, N: from_terms(R, N, {}),
+    "pochhammer": lambda R, N: pochhammer(2, N),
+    "inverse_pochhammer": lambda R, N: inverse_pochhammer(2, N),
+    "invert_one_minus_q_power": lambda R, N: invert_one_minus_q_power(1, R, N),
+    "andrews_gordon_multisum": lambda R, N: andrews_gordon_multisum(2, 1, R, N),
+    "solve": lambda R, N: solve(2, R, N),
+    "gordon_product": lambda R, N: gordon_product(GordonCondition(3, 2), N),
+    "restrict": lambda R, N: one(2, 2).restrict(R, N),
+}
+Q_ONLY_BUILDERS = {"pochhammer", "inverse_pochhammer", "gordon_product"}
+NEGATIVE_WINDOWS = [(0, -1), (-1, 0), (2, -1), (-1, 2), (-2, -2)]
+
+
+@pytest.mark.parametrize(
+    "name, window",
+    [
+        pytest.param(name, (R, N), id=f"{name}-{R},{N}")
+        for name in sorted(WINDOW_BUILDERS)
+        for R, N in NEGATIVE_WINDOWS
+        if N < 0 or name not in Q_ONLY_BUILDERS
+    ],
+)
+def test_builders_reject_negative_orders(name, window):
+    with pytest.raises(ValueError):
+        WINDOW_BUILDERS[name](*window)
+
+
+def test_public_constructor_rejects_non_int_coefficients():
+    with pytest.raises(TypeError):
+        BiSeries(0, 1, [[1, 0.5]])
+    with pytest.raises(TypeError):
+        from_terms(0, 2, {(0, 0): 1.5})
 
 
 def test_equality_and_hash():
@@ -205,6 +254,9 @@ def test_json_validation():
         pytest.param([[0, 0, "1"]], (1, True), id="bool-order"),
         pytest.param([[0, 0, "1"]], ("1", 1), id="string-order"),
         pytest.param([], (-1, 1), id="negative-order"),
+        pytest.param([], (0, 10**30), id="window-over-cap"),
+        pytest.param([], (0, MAX_CELLS), id="window-just-over-cap"),
+        pytest.param([], (1, MAX_CELLS // 2), id="rows-over-cap"),
     ],
 )
 def test_json_rejects_non_canonical_terms(terms, orders):
