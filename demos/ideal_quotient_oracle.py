@@ -2,9 +2,10 @@
 
 The quotient of C[y_1, y_2, ...] by the ideal generated by the ordered-sum
 polynomials r_w (charge k+1) and a power y_1^e has a bigraded Hilbert
-table computable by exact integer linear algebra: list the spanning
-products in each bidegree, take the rank, subtract from the monomial
-count. No recursion system, no multisum. The table still reproduces the
+table computable by counting and exact integer linear algebra: in each
+bidegree, count the monomials divisible by y_1^e, rank the products of
+monomials with the r_w over the monomials that remain, and subtract both
+from the monomial count. No recursion system, no multisum. The table still reproduces the
 same series, which is the whole point of using it as an oracle.
 """
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .ideal_quotient import hilbert_table
@@ -32,54 +31,39 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # are rejected as usage errors rather than left to crawl
 ORACLE_MAX_M = 8
 ORACLE_MAX_W = 20
+# verify-gordon enumerates partitions, which takes time exponential in the
+# weight: about a second at q=50 for l=3, t=1, and 23 s for l=t=51
+VERIFY_MAX_Q = 50
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of comparing two computation routes on a window."""
-
-    route_a: str
-    route_b: str
-    window: str
-    status: str  # "match" or "mismatch"
-    first_discrepancy: tuple[int, int, int, int] | None = None  # (m, w, a, b)
-
-    def line(self) -> str:
-        out = f"{self.route_a}\t{self.route_b}\t{self.window}\t{self.status}"
-        if self.first_discrepancy is not None:
-            m, w, va, vb = self.first_discrepancy
-            out += f"\tm={m}\tw={w}\t{self.route_a}={va}\t{self.route_b}={vb}"
-        return out
-
-
-def compare_series(
-    a: BiSeries, b: BiSeries, route_a: str, route_b: str, window: str
-) -> VerificationReport:
-    """Coefficientwise comparison reporting the lexicographically first
-    discrepant (m, w) cell."""
-    if a.x_order != b.x_order or a.q_order != b.q_order:
-        raise ValueError("compared series must share a window")
-    for m in range(a.x_order + 1):
-        for w in range(a.q_order + 1):
-            va, vb = a.coeff(m, w), b.coeff(m, w)
+def compare(
+    a_rows: Sequence[Sequence[int]],
+    b_rows: Sequence[Sequence[int]],
+    route_a: str,
+    route_b: str,
+    window: str,
+) -> tuple[bool, str]:
+    """Cellwise comparison of two tables of the same shape, rows indexed by
+    m and columns by w; a sequence is a one-row table. Returns whether they
+    match and the report line, which names the first discrepant (m, w)."""
+    if [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+        raise ValueError("compared tables must share a window")
+    line = f"{route_a}\t{route_b}\t{window}\t"
+    for m, (ra, rb) in enumerate(zip(a_rows, b_rows)):
+        for w, (va, vb) in enumerate(zip(ra, rb)):
             if va != vb:
-                return VerificationReport(
-                    route_a, route_b, window, "mismatch", (m, w, va, vb)
-                )
-    return VerificationReport(route_a, route_b, window, "match")
+                return False, line + f"mismatch\tm={m}\tw={w}\t{route_a}={va}\t{route_b}={vb}"
+    return True, line + "match"
 
 
-def compare_sequences(
-    xs: Sequence[int], ys: Sequence[int], route_a: str, route_b: str, window: str
-) -> VerificationReport:
-    if len(xs) != len(ys):
-        raise ValueError("compared sequences must have equal length")
-    for n, (va, vb) in enumerate(zip(xs, ys)):
-        if va != vb:
-            return VerificationReport(
-                route_a, route_b, window, "mismatch", (0, n, va, vb)
-            )
-    return VerificationReport(route_a, route_b, window, "match")
+def _rows(series: BiSeries) -> list[tuple[int, ...]]:
+    return [series.row(a) for a in range(series.x_order + 1)]
+
+
+def _report(results: list[tuple[bool, str]]) -> int:
+    for _, line in results:
+        print(line)
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def _usage(message: str) -> int:
@@ -129,48 +113,36 @@ def cmd_verify_gordon(args: argparse.Namespace) -> int:
         return _usage("--qmax must be >= 0")
     if args.xmax < 0:
         return _usage("--xmax must be >= 0")
+    if args.qmax > VERIFY_MAX_Q:
+        return _usage(f"--qmax must be <= VERIFY_MAX_Q={VERIFY_MAX_Q}")
     cond = GordonCondition(args.l, args.t)
     k, i = cond.level, args.t - 1
     qmax = args.qmax
+    # an m-part partition weighs at least m, so x-degrees past qmax are empty
+    xmax = min(args.xmax, qmax)
+    window = f"q<={qmax}"
 
     print(f"verify-gordon l={args.l} t={args.t}", file=sys.stderr)
     gordon = [count_gordon_partitions(cond, n) for n in range(qmax + 1)]
     congruence = [count_congruence_partitions(cond, n) for n in range(qmax + 1)]
-    reports = [
-        compare_sequences(
-            gordon, congruence, "gordon-count", "congruence-count", f"q<={qmax}"
-        )
-    ]
-
-    product = gordon_product(cond, qmax)
-    reports.append(
-        compare_sequences(
-            congruence,
-            list(product.row(0)),
-            "congruence-count",
-            "product",
-            f"q<={qmax}",
-        )
-    )
+    product = gordon_product(cond, qmax).row(0)
 
     # beyond x-degree xmax the multisum window is truncated; coefficients of
     # q^n are still complete while every dropped partition outweighs n
-    lossless = min(qmax, min_gordon_weight(k, args.xmax + 1) - 1)
-    multisum = andrews_gordon_multisum(k, i, args.xmax, qmax)
+    lossless = min(qmax, min_gordon_weight(k, xmax + 1) - 1)
+    multisum = andrews_gordon_multisum(k, i, xmax, qmax)
     specialized, _ = specialize_x(multisum, "x=1")
-    reports.append(
-        compare_sequences(
-            list(product.row(0))[: lossless + 1],
-            list(specialized.row(0))[: lossless + 1],
+    return _report([
+        compare([gordon], [congruence], "gordon-count", "congruence-count", window),
+        compare([congruence], [product], "congruence-count", "product", window),
+        compare(
+            [product[: lossless + 1]],
+            [specialized.row(0)[: lossless + 1]],
             "product",
             "multisum(x=1)",
             f"q<={lossless}",
-        )
-    )
-
-    for rep in reports:
-        print(rep.line())
-    return 0 if all(r.status == "match" for r in reports) else 1
+        ),
+    ])
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -203,22 +175,20 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     mmax, wmax = args.mmax, args.wmax
     window = f"x<={mmax},q<={wmax}"
     fam = solve(args.k, mmax, wmax)
-    reports = []
+    results = []
     for e in range(1, args.k + 2):
         i = e - 1
         print(f"crosscheck e={e} ({window})", file=sys.stderr)
-        solver = fam.members[i]
-        multisum = andrews_gordon_multisum(args.k, i, mmax, wmax)
-        table = hilbert_table(args.k, e, mmax, wmax).to_biseries()
+        solver = _rows(fam.members[i])
+        multisum = _rows(andrews_gordon_multisum(args.k, i, mmax, wmax))
+        table = hilbert_table(args.k, e, mmax, wmax).entries
         a = f"solve[F{i}]"
         b = f"multisum[i={i}]"
         c = f"ideal-quotient[e={e}]"
-        reports.append(compare_series(solver, multisum, a, b, window))
-        reports.append(compare_series(solver, table, a, c, window))
-        reports.append(compare_series(multisum, table, b, c, window))
-    for rep in reports:
-        print(rep.line())
-    return 0 if all(r.status == "match" for r in reports) else 1
+        results.append(compare(solver, multisum, a, b, window))
+        results.append(compare(solver, table, a, c, window))
+        results.append(compare(multisum, table, b, c, window))
+    return _report(results)
 
 
 def cmd_check_recursions(args: argparse.Namespace) -> int:
@@ -265,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--l", type=int, required=True, help="modulus parameter, l >= 2")
     p.add_argument("--t", type=int, required=True, help="1 <= t <= l")
-    p.add_argument("--qmax", type=int, required=True, help="compare up to q^qmax")
+    p.add_argument(
+        "--qmax", type=int, required=True, help=f"compare up to q^qmax (<= {VERIFY_MAX_Q})"
+    )
     p.add_argument(
         "--xmax",
         type=int,

@@ -12,11 +12,13 @@ ideal attached to level k and y-power exponent e is generated by
 * y_1^e, with 1 <= e <= k+1.
 
 A bidegree of the ideal is spanned by monomial multiples of the
-generators, and its dimension is the exact integer rank of that spanning
-set. Nothing here touches the recursion system or the multisum: quotient
-dimensions come out of fraction-free linear algebra alone, which is what
-makes the resulting tables usable as an oracle against the other two
-computation routes.
+generators. The multiples of y_1^e are monomials, those with at least e
+indices equal to 1, so they are counted; only the products of monomials
+with the r_w are ranked, exactly, over the monomials that remain. Nothing
+here touches the recursion system or the multisum: quotient dimensions
+come out of monomial counts and fraction-free linear algebra alone, which
+is what makes the resulting tables usable as an oracle against the other
+two computation routes.
 """
 
 from __future__ import annotations
@@ -172,38 +174,32 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
 def ideal_span_dimension(gens: GeneratorSet, m: int, w: int) -> int:
     """Dimension of the bidegree-(m, w) piece of the ideal.
 
-    The piece is spanned by mu * g over generators g and monomials mu of
-    complementary bidegree; each product is expressed over the monomial
-    basis of (m, w) and the exact rank of the resulting matrix is returned.
+    The multiples of y_1^e form a monomial ideal: in bidegree (m, w) they are
+    the partitions with at least e parts equal to 1, so they are counted, not
+    ranked. The products mu * r over generators r and monomials mu of
+    complementary bidegree are expressed over the remaining monomials, and
+    the exact rank of that matrix is added to the count.
     """
     if m < 0 or w < 0:
         raise ValueError("need m, w >= 0")
     if w > gens.w_max:
         raise ValueError(f"weight {w} beyond generator working bound {gens.w_max}")
-    basis = partitions_exact(w, m)
-    if not basis:
-        return 0
+    full = partitions_exact(w, m)
+    e = gens.e
+    basis = [lam for lam in full if e is None or lam.count(1) < e]
     index = {lam: j for j, lam in enumerate(basis)}
     rows: list[list[int]] = []
-
-    def add_products(gen_terms, gen_charge: int, gen_weight: int) -> None:
-        for mu in partitions_exact(w - gen_weight, m - gen_charge):
-            row = [0] * len(basis)
-            for mono, mult in gen_terms:
-                merged = tuple(sorted(mu + mono.parts, reverse=True))
-                row[index[merged]] += mult
-            rows.append(row)
-
     k = gens.k
     for w_gen in range(k + 1, w + 1):
-        add_products(gens.r_polys[w_gen], k + 1, w_gen)
-    if gens.e is not None:
-        e = gens.e
-        add_products(((YMonomial((1,) * e), 1),), e, e)
-
-    if not rows:
-        return 0
-    return integer_matrix_rank(rows)
+        for mu in partitions_exact(w - w_gen, m - k - 1):
+            row = [0] * len(basis)
+            for mono, mult in gens.r_polys[w_gen]:
+                j = index.get(tuple(sorted(mu + mono.parts, reverse=True)))
+                if j is not None:
+                    row[j] += mult
+            if any(row):
+                rows.append(row)
+    return len(full) - len(basis) + integer_matrix_rank(rows)
 
 
 def quotient_dimension(gens: GeneratorSet, m: int, w: int) -> int:

@@ -136,6 +136,11 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
     if not 0 <= i <= k:
         raise ValueError("need 0 <= i <= k")
     R, N = x_order, q_order
+    # a tuple in the window has at most min(R, N) nonzero entries, all in
+    # front; its zero tail adds nothing to the exponent and (q)_0 = 1 to the
+    # denominator, so only that many levels need enumerating
+    k = max(1, min(k, R, N))
+    i = min(i, k)
     rows = [[0] * (N + 1) for _ in range(R + 1)]
 
     def emit(tup: tuple[int, ...]) -> None:

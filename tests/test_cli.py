@@ -1,5 +1,6 @@
 """Command line surface: exit codes, formats, and determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import qgordon
-from qgordon.cli import ORACLE_MAX_M, ORACLE_MAX_W, main
+from qgordon import cli
+from qgordon.cli import ORACLE_MAX_M, ORACLE_MAX_W, VERIFY_MAX_Q, main
 
 
 def run(capsys, *argv):
@@ -101,6 +103,76 @@ def test_verify_gordon_t_equal_l(capsys):
 def test_verify_gordon_usage(capsys):
     assert run(capsys, "verify-gordon", "--l", "1", "--t", "1", "--qmax", "5")[0] == 2
     assert run(capsys, "verify-gordon", "--l", "2", "--t", "3", "--qmax", "5")[0] == 2
+
+
+def test_verify_gordon_qmax_limit(capsys):
+    code, out, err = run(capsys, "verify-gordon", "--l", "3", "--t", "1",
+                         "--qmax", str(VERIFY_MAX_Q + 1))
+    assert (code, out) == (2, "")
+    assert "VERIFY_MAX_Q" in err
+    code, out, _ = run(capsys, "verify-gordon", "--l", "2", "--t", "2",
+                       "--qmax", str(VERIFY_MAX_Q))
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_verify_gordon_clamps_xmax():
+    code, out, _, wall = run_limited("verify-gordon", "--l", "3", "--t", "1",
+                                     "--qmax", "10", "--xmax", "100000000",
+                                     memory_mb=400)
+    assert code == 0 and wall < 30
+    assert out.splitlines()[2] == "product\tmultisum(x=1)\tq<=10\tmatch"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-gordon", "--l", "3000", "--t", "1", "--qmax", "3"),
+    ("crosscheck", "--k", "3000", "--mmax", "2", "--wmax", "2"),
+])
+def test_level_far_beyond_the_window(capsys, argv):
+    # the multisum must not recurse once per level
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out and all(line.endswith("\tmatch") for line in out.splitlines())
+
+
+def test_verify_gordon_reports_the_first_mismatch(capsys, monkeypatch):
+    count = cli.count_gordon_partitions
+    monkeypatch.setattr(cli, "count_gordon_partitions",
+                        lambda cond, n: count(cond, n) + (n == 17))
+    code, out, _ = run(capsys, "verify-gordon", "--l", "3", "--t", "2", "--qmax", "30")
+    assert code == 1
+    assert out == (
+        "gordon-count\tcongruence-count\tq<=30\tmismatch\tm=0\tw=17"
+        "\tgordon-count=57\tcongruence-count=56\n"
+        "congruence-count\tproduct\tq<=30\tmatch\n"
+        "product\tmultisum(x=1)\tq<=30\tmatch\n"
+    )
+
+
+def test_crosscheck_reports_the_first_mismatch(capsys, monkeypatch):
+    table = cli.hilbert_table
+
+    def faulty(k, e, m_max, w_max):
+        t = table(k, e, m_max, w_max)
+        entries = [list(row) for row in t.entries]
+        entries[3][9] += 1
+        return type(t)(t.k, t.e, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(cli, "hilbert_table", faulty)
+    code, out, _ = run(capsys, "crosscheck", "--k", "1", "--mmax", "4", "--wmax", "10")
+    assert code == 1
+    window = "x<=4,q<=10"
+    assert out.splitlines() == [
+        f"solve[F0]\tmultisum[i=0]\t{window}\tmatch",
+        f"solve[F0]\tideal-quotient[e=1]\t{window}\tmismatch\tm=3\tw=9"
+        "\tsolve[F0]=0\tideal-quotient[e=1]=1",
+        f"multisum[i=0]\tideal-quotient[e=1]\t{window}\tmismatch\tm=3\tw=9"
+        "\tmultisum[i=0]=0\tideal-quotient[e=1]=1",
+        f"solve[F1]\tmultisum[i=1]\t{window}\tmatch",
+        f"solve[F1]\tideal-quotient[e=2]\t{window}\tmismatch\tm=3\tw=9"
+        "\tsolve[F1]=1\tideal-quotient[e=2]=2",
+        f"multisum[i=1]\tideal-quotient[e=2]\t{window}\tmismatch\tm=3\tw=9"
+        "\tmultisum[i=1]=1\tideal-quotient[e=2]=2",
+    ]
 
 
 def test_oracle_tsv(capsys):
@@ -288,6 +360,38 @@ def test_output_determinism(capsys):
     a = run(capsys, "oracle", "--k", "1", "--e", "1", "--mmax", "3", "--wmax", "7")
     b = run(capsys, "oracle", "--k", "1", "--e", "1", "--mmax", "3", "--wmax", "7")
     assert a == b
+
+
+# exit code and sha256 of stdout for a fixed list of small commands; a
+# change to any route or to the report format shows up here
+PINNED_STDOUT = [
+    (("solve", "--k", "2", "--xmax", "6", "--qmax", "40", "--format", "json"), 0,
+     "f70df91564cd244235bef1da5376575a596cf996dbc76f2df0a13025f5bf3406"),
+    (("solve", "--k", "2", "--xmax", "6", "--qmax", "40", "--format", "tsv"), 0,
+     "b134a10c588cd93ae8add36c5f7c46bddf928027e22801e22a77d264cb0c9a9e"),
+    (("verify-gordon", "--l", "3", "--t", "2", "--qmax", "30"), 0,
+     "29140ef5d75174bfd636a9095f2c0d6cd7206ce770dbb5c512ac922eba5846b8"),
+    (("crosscheck", "--k", "2", "--mmax", "6", "--wmax", "16"), 0,
+     "9e816b39a4da33a4a67db92c961076abed75b437db210280d68b0230adeb33bf"),
+    (("oracle", "--k", "2", "--e", "1", "--mmax", "6", "--wmax", "16", "--format", "json"), 0,
+     "855c7b0b9a8eea6c5d675685efbe1445ed34271d2d0eed4c3b7b02c07bf02dc9"),
+    (("oracle", "--k", "2", "--e", "1", "--mmax", "6", "--wmax", "16", "--format", "tsv"), 0,
+     "1c08acc08c19b7ef1cc0377378d3d4f4e21958a3c05710081f9b1a43fddff9a4"),
+]
+PINNED_CHECK_RECURSIONS = "5d960b3f71207dd1cdaf7ee0830285b7daa70e57cb237f43d6db1c03d51503d5"
+
+
+def test_pinned_stdout(tmp_path, capsys):
+    def digest(out):
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    for argv, want_code, want in PINNED_STDOUT:
+        code, out, _ = run(capsys, *argv)
+        assert (code, digest(out)) == (want_code, want), argv
+    path = tmp_path / "fam.json"
+    path.write_text(run(capsys, *PINNED_STDOUT[0][0])[1])
+    code, out, _ = run(capsys, "check-recursions", "--input", str(path))
+    assert (code, digest(out)) == (0, PINNED_CHECK_RECURSIONS)
 
 
 def test_data_only_on_stdout(capsys):

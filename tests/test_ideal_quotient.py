@@ -124,6 +124,33 @@ def test_ideal_span_examples():
     assert ideal_span_dimension(gens, 0, 0) == 0
 
 
+def full_span_dimension(k, e, m, w):
+    """Rank over Fraction of every product mu * g in bidegree (m, w), with
+    one row for each generator g, the y_1^e monomial included."""
+    basis = partitions_exact(w, m)
+    index = {lam: j for j, lam in enumerate(basis)}
+    gens = [(r_polynomial(k, wg), k + 1, wg) for wg in range(k + 1, w + 1)]
+    if e is not None:
+        gens.append(([(YMonomial((1,) * e), 1)], e, e))
+    rows = []
+    for terms, charge, weight in gens:
+        for mu in partitions_exact(w - weight, m - charge):
+            row = [0] * len(basis)
+            for mono, mult in terms:
+                row[index[tuple(sorted(mu + mono.parts, reverse=True))]] += mult
+            rows.append(row)
+    return rational_rank(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ideal_span_matches_full_span_rank(k):
+    for e in [*range(1, k + 2), None]:
+        gens = generator_set(k, e, 12)
+        for m in range(6):
+            for w in range(13):
+                assert ideal_span_dimension(gens, m, w) == full_span_dimension(k, e, m, w), (e, m, w)
+
+
 def test_quotient_examples():
     gens = generator_set(1, 2, 8)
     for w in range(1, 9):

@@ -198,6 +198,18 @@ def test_multisum_matches_refined_counts(l, t):
             assert s.coeff(m, n) == count_gordon_partitions_refined(cond, n, m)
 
 
+@pytest.mark.parametrize("t", [1, 4, 8])
+def test_multisum_with_more_levels_than_the_window_holds(t):
+    # level 7 at x <= 3: a tuple has at most 3 nonzero entries, so the
+    # multisum enumerates 3 levels and must still count every partition
+    cond = GordonCondition(8, t)
+    R, N = 3, 12
+    s = andrews_gordon_multisum(7, t - 1, R, N)
+    for m in range(R + 1):
+        for n in range(N + 1):
+            assert s.coeff(m, n) == count_gordon_partitions_refined(cond, n, m)
+
+
 def test_inverse_pochhammer_monotone_in_n():
     N = 10
     prev = inverse_pochhammer(0, N).row(0)
