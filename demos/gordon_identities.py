@@ -28,4 +28,4 @@ for l in (2, 3, 4):
 print()
 print("The partitions behind one entry: n=9, l=2, t=2 (difference >= 2, at most one 1):")
 for p in iter_gordon_partitions(GordonCondition(2, 2), 9):
-    print("   ", list(p.parts))
+    print("   ", list(p))

@@ -23,7 +23,7 @@ k, e = 1, 2
 print(f"Generators for level k={k}: r_w for w >= {k + 1}, plus y_1^{e}.")
 for w in range(2, 6):
     terms = " + ".join(
-        (f"{mult}*" if mult > 1 else "") + "y" + "*y".join(f"_{j}" for j in mono.parts)
+        (f"{mult}*" if mult > 1 else "") + "y" + "*y".join(f"_{j}" for j in mono)
         for mono, mult in r_polynomial(k, w)
     )
     print(f"  r_{w} = {terms}")

@@ -25,7 +25,6 @@ from .series import (
 )
 from .qcombinat import (
     GordonCondition,
-    Partition,
     andrews_gordon_multisum,
     count_congruence_partitions,
     count_gordon_partitions,
@@ -48,7 +47,6 @@ from .selberg import (
 from .ideal_quotient import (
     DimensionTable,
     GeneratorSet,
-    YMonomial,
     count_partitions_exact,
     generator_set,
     hilbert_table,
@@ -66,10 +64,8 @@ __all__ = [
     "DimensionTable",
     "GeneratorSet",
     "GordonCondition",
-    "Partition",
     "RecursionFamily",
     "WeightData",
-    "YMonomial",
     "andrews_gordon_multisum",
     "check_k2_example",
     "check_recursions",

@@ -32,7 +32,7 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 ORACLE_MAX_M = 8
 ORACLE_MAX_W = 20
 # verify-gordon enumerates partitions, which takes time exponential in the
-# weight: about a second at q=50 for l=3, t=1, and 23 s for l=t=51
+# weight: about 0.8 s at q=50 for l=3, t=1, and 17 s for l=t=51
 VERIFY_MAX_Q = 50
 
 
@@ -172,6 +172,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     problem = _oracle_window_problem(args.mmax, args.wmax)
     if problem:
         return _usage(problem)
+    if (args.k + 1) * (args.mmax + 1) * (args.wmax + 1) > MAX_CELLS:
+        return _usage(f"window has more than MAX_CELLS={MAX_CELLS} coefficients")
     mmax, wmax = args.mmax, args.wmax
     window = f"x<={mmax},q<={wmax}"
     fam = solve(args.k, mmax, wmax)

@@ -61,29 +61,9 @@ def count_partitions_exact(w: int, m: int) -> int:
     return len(partitions_exact(w, m))
 
 
-@dataclass(frozen=True)
-class YMonomial:
-    """A monomial y_(j1) ... y_(jm), stored as the weakly decreasing index tuple."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(j <= 0 for j in self.parts):
-            raise ValueError("indices must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError("indices must be weakly decreasing")
-
-    @property
-    def charge(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-
-def r_polynomial(k: int, w: int) -> list[tuple[YMonomial, int]]:
-    """The charge-(k+1), weight-w generator as (monomial, multiplicity) pairs.
+def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
+    """The charge-(k+1), weight-w generator as (monomial, multiplicity) pairs,
+    each monomial y_(j1) ... y_(j(k+1)) given by its index tuple j1 >= j2 >= ...
 
     The multiplicity of the monomial with index multiset lam is the number
     of ordered (k+1)-tuples realizing lam: (k+1)! divided by the factorials
@@ -98,7 +78,7 @@ def r_polynomial(k: int, w: int) -> list[tuple[YMonomial, int]]:
         mult = math.factorial(k + 1)
         for v in set(lam):
             mult //= math.factorial(lam.count(v))
-        out.append((YMonomial(lam), mult))
+        out.append((lam, mult))
     return out
 
 
@@ -114,7 +94,7 @@ class GeneratorSet:
     k: int
     e: int | None
     w_max: int
-    r_polys: dict[int, tuple[tuple[YMonomial, int], ...]]
+    r_polys: dict[int, tuple[tuple[tuple[int, ...], int], ...]]
 
 
 def generator_set(k: int, e: int | None, w_max: int) -> GeneratorSet:
@@ -194,7 +174,7 @@ def ideal_span_dimension(gens: GeneratorSet, m: int, w: int) -> int:
         for mu in partitions_exact(w - w_gen, m - k - 1):
             row = [0] * len(basis)
             for mono, mult in gens.r_polys[w_gen]:
-                j = index.get(tuple(sorted(mu + mono.parts, reverse=True)))
+                j = index.get(tuple(sorted(mu + mono, reverse=True)))
                 if j is not None:
                     row[j] += mult
             if any(row):

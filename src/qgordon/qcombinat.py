@@ -25,27 +25,6 @@ from .series import BiSeries, div_one_minus_q_power, mul_one_minus_q_power
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive parts; charge = number of parts, weight = sum."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def charge(self) -> int:
-        return len(self.parts)
-
-
-@dataclass(frozen=True)
 class GordonCondition:
     """Parameter pair (l, t) with l >= 2 and 1 <= t <= l.
 
@@ -128,8 +107,12 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
         x^(N_1+...+N_k) q^(N_1^2+...+N_k^2+N_(i+1)+...+N_k)
         / ((q)_(N_1-N_2) ... (q)_(N_(k-1)-N_k) (q)_(N_k))
 
-    truncated to the window. Tuples whose x-power exceeds x_order or whose
-    minimal q-exponent exceeds q_order contribute nothing and are pruned.
+    truncated to the window. One recursion picks N_k, then N_(k-1), ...,
+    N_1, and carries the partial denominator down the tree, so tuples that
+    share a suffix N_j, ..., N_k share its division: each step of an entry
+    above its floor divides the carried row once more by one factor of the
+    corresponding (q)_d. Branches whose x-power or least q-exponent already
+    leaves the window are pruned.
     """
     if k < 1:
         raise ValueError("need level k >= 1")
@@ -143,46 +126,39 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
     i = min(i, k)
     rows = [[0] * (N + 1) for _ in range(R + 1)]
 
-    def emit(tup: tuple[int, ...]) -> None:
-        m = sum(tup)
-        energy = sum(v * v for v in tup) + sum(tup[i:])
-        if m > R or energy > N:
-            return
-        # divide by (q)_d for each difference variable d: N_j - N_(j+1), N_k
-        diffs = [tup[j] - tup[j + 1] for j in range(k - 1)] + [tup[k - 1]]
-        den = [1] + [0] * (N - energy)
-        for d in diffs:
-            for j in range(1, d + 1):
-                div_one_minus_q_power(den, j)
-        target = rows[m]
-        for b, c in enumerate(den):
-            if c:
-                target[energy + b] += c
-
-    # build tuples from N_k upward; values are weakly increasing toward N_1
-    def extend(pos: int, tup: tuple[int, ...], m: int, sq: int) -> None:
+    # choose N_pos for pos = k, k-1, ..., 1 with N_pos >= low = N_(pos+1),
+    # carrying den = 1/((q)_(N_(pos+1)-N_(pos+2)) ... (q)_(N_k)) down the tree:
+    # each step of N_pos above low divides it once more by 1 - q^(N_pos - low)
+    def rec(pos: int, low: int, m: int, energy: int, den: list[int]) -> None:
         if pos == 0:
-            emit(tup)
+            target = rows[m]
+            for b in range(N - energy + 1):
+                target[energy + b] += den[b]
             return
-        low = tup[0] if tup else 0
+        row = den[:]
         v = low
-        while True:
-            # remaining pos slots each hold at least v
-            if m + pos * v > R or sq + pos * v * v > N:
+        # the pos entries still to choose are each at least v
+        while m + pos * v <= R:
+            least = energy + pos * v * v + max(pos - i, 0) * v
+            if least > N:
                 break
-            extend(pos - 1, (v,) + tup, m + v, sq + v * v)
+            del row[N - least + 1 :]
+            if v > low:
+                div_one_minus_q_power(row, v - low)
+            rec(pos - 1, v, m + v, energy + v * v + (v if pos > i else 0), row)
             v += 1
 
-    extend(k, (), 0, 0)
+    rec(k, 0, 0, 0, [1] + [0] * N)
     return BiSeries(R, N, rows)
 
 
 # -- partition counting ---------------------------------------------------------
 
 
-def iter_gordon_partitions(cond: GordonCondition, n: int) -> Iterator[Partition]:
+def iter_gordon_partitions(cond: GordonCondition, n: int) -> Iterator[tuple[int, ...]]:
     """Enumerate partitions of n with difference >= 2 at distance l-1 and
-    at most t-1 ones, in decreasing lexicographic order.
+    at most t-1 ones, as weakly decreasing tuples of positive parts, in
+    decreasing lexicographic order.
 
     Parts are chosen largest-first; the distance condition only ever
     constrains the new part against the (l-1)-th most recent choice, so a
@@ -195,7 +171,7 @@ def iter_gordon_partitions(cond: GordonCondition, n: int) -> Iterator[Partition]
 
     def rec(remaining: int, cap: int, window: tuple[int, ...], ones: int, acc: list[int]):
         if remaining == 0:
-            yield Partition(tuple(acc))
+            yield tuple(acc)
             return
         hi = min(remaining, cap)
         if len(window) == k:
@@ -221,7 +197,7 @@ def count_gordon_partitions_refined(cond: GordonCondition, n: int, m: int) -> in
     """As count_gordon_partitions, restricted to exactly m parts."""
     if m < 0:
         raise ValueError("need m >= 0")
-    return sum(1 for p in iter_gordon_partitions(cond, n) if p.charge == m)
+    return sum(1 for p in iter_gordon_partitions(cond, n) if len(p) == m)
 
 
 def count_congruence_partitions(cond: GordonCondition, n: int) -> int:

@@ -243,6 +243,14 @@ def test_crosscheck_trivial_window(capsys):
     assert all(line.endswith("match") for line in out.splitlines())
 
 
+def test_crosscheck_over_the_cell_cap():
+    # the (m, w) window is small, but solve would build k+1 tables of it
+    code, out, err, wall = run_limited("crosscheck", "--k", "100000000", "--mmax", "8",
+                                       "--wmax", "20", memory_mb=400)
+    assert (code, out) == (2, "")
+    assert "MAX_CELLS" in err and wall < 30
+
+
 def test_crosscheck_soft_limit(capsys):
     code, _, err = run(capsys, "crosscheck", "--k", "1", "--mmax", "3", "--wmax", "50")
     assert code == 2
