@@ -1,9 +1,13 @@
-"""Gordon's identities by exhaustive counting, moduli 5, 7, and 9.
+"""Gordon's identities by exact counting, moduli 5, 7, and 9.
 
 For each l and each 1 <= t <= l, the number of partitions of n with
 difference at least 2 at distance l-1 and at most t-1 ones equals the
 number of partitions of n into parts not congruent to 0, +-t mod 2l+1.
-Both sides are counted by brute-force enumeration.
+The Gordon side is counted by a transfer over part sizes in frequency
+form (f_1 <= t-1 and f_j + f_(j+1) <= l-1), the congruence side by a table
+over (weight left, smallest admissible part); neither uses a generating
+function. The last lines list the partitions behind one entry with the
+enumerator ``iter_gordon_partitions``.
 """
 
 from qgordon import (

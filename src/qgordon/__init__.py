@@ -7,7 +7,8 @@ independent so they can verify one another coefficient-by-coefficient:
   q-difference system at a truncation window;
 * ``qcombinat.andrews_gordon_multisum`` evaluates the closed multisum form;
 * ``qcombinat.count_gordon_partitions`` / ``count_congruence_partitions``
-  enumerate the partitions both sides of Gordon's identities count;
+  count, with no generating function, the partitions both sides of
+  Gordon's identities count;
 * ``ideal_quotient.hilbert_table`` recomputes the dimensions from the
   generators of a polynomial ideal by exact linear algebra.
 

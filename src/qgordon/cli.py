@@ -31,9 +31,10 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # are rejected as usage errors rather than left to crawl
 ORACLE_MAX_M = 8
 ORACLE_MAX_W = 20
-# verify-gordon enumerates partitions, which takes time exponential in the
-# weight: about 0.8 s at q=50 for l=3, t=1, and 17 s for l=t=51
-VERIFY_MAX_Q = 50
+# verify-gordon counts partitions with transfer tables, O(n^2 log n) for each
+# n <= qmax. At q=200 it takes about 1.0 s for l=6, t=3 and 1.4 s for
+# l=t=201; with --xmax 200 the multisum dominates, about 10 s for l=t=60
+VERIFY_MAX_Q = 200
 
 
 def compare(
@@ -177,13 +178,19 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     mmax, wmax = args.mmax, args.wmax
     window = f"x<={mmax},q<={wmax}"
     fam = solve(args.k, mmax, wmax)
+    # a window cell holds at most min(mmax, wmax) ones and nonzero N_j, so
+    # for i >= that bound neither the y_1^(i+1) generator nor the multisum's
+    # linear term N_(i+1) + ... + N_k reaches it: those members share the
+    # tables built for i = min(mmax, wmax)
+    shared = min(mmax, wmax)
     results = []
     for e in range(1, args.k + 2):
         i = e - 1
         print(f"crosscheck e={e} ({window})", file=sys.stderr)
         solver = _rows(fam.members[i])
-        multisum = _rows(andrews_gordon_multisum(args.k, i, mmax, wmax))
-        table = hilbert_table(args.k, e, mmax, wmax).entries
+        if i <= shared:
+            multisum = _rows(andrews_gordon_multisum(args.k, i, mmax, wmax))
+            table = hilbert_table(args.k, e, mmax, wmax).entries
         a = f"solve[F{i}]"
         b = f"multisum[i={i}]"
         c = f"ideal-quotient[e={e}]"

@@ -12,12 +12,17 @@ different objects, all computed here with exact integer arithmetic:
   (``andrews_gordon_multisum``), a bivariate series whose x-power tracks
   the number of parts.
 
-Counting functions enumerate partitions outright, so they are independent
-of the series arithmetic and usable as brute-force cross-checks.
+The counts use no generating function and no series arithmetic, so they
+stay an independent check on the product and the multisum. The Gordon
+count is a transfer over part sizes in frequency form, the congruence count
+a table over (weight left, smallest admissible part); both take polynomial
+time and neither recurses. ``iter_gordon_partitions`` still lists the
+partitions themselves, and the count refined by number of parts filters it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -189,8 +194,36 @@ def iter_gordon_partitions(cond: GordonCondition, n: int) -> Iterator[tuple[int,
 
 
 def count_gordon_partitions(cond: GordonCondition, n: int) -> int:
-    """Number of partitions of n meeting the Gordon difference/ones condition."""
-    return sum(1 for _ in iter_gordon_partitions(cond, n))
+    """Number of partitions of n meeting the Gordon difference/ones condition.
+
+    In frequency form (f_j parts equal to j) the condition reads f_1 <= t-1
+    and f_j + f_(j+1) <= l-1: l consecutive parts differ by at most 1 exactly
+    when they all lie in some {j, j+1}. A transfer over part sizes j = 1..n
+    keeps, for each value of f_j, the number of choices f_1..f_j at each
+    weight so far; the next size may take any f_(j+1) <= l-1-f_j, so one
+    prefix sum over f_j serves every f_(j+1). Since f_j <= n // j, a level
+    far beyond n costs nothing extra, and the work is O(n^2 log n).
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    k = cond.l - 1
+    # rows[f][w]: choices of f_1..f_j with f_j = f and weight w, here j = 1
+    rows = [[0] * (n + 1) for _ in range(min(cond.t - 1, n) + 1)]
+    for f, row in enumerate(rows):
+        row[f] = 1
+    for j in range(2, n + 1):
+        # at_most[g][w]: the same choices with f_(j-1) <= g
+        at_most = []
+        acc = [0] * (n + 1)
+        for row in rows:
+            acc = [a + b for a, b in zip(acc, row)]
+            at_most.append(acc)
+        top = len(rows) - 1
+        rows = [
+            [0] * (f * j) + at_most[min(k - f, top)][: n + 1 - f * j]
+            for f in range(min(k, n // j) + 1)
+        ]
+    return sum(row[n] for row in rows)
 
 
 def count_gordon_partitions_refined(cond: GordonCondition, n: int, m: int) -> int:
@@ -203,24 +236,25 @@ def count_gordon_partitions_refined(cond: GordonCondition, n: int, m: int) -> in
 def count_congruence_partitions(cond: GordonCondition, n: int) -> int:
     """Number of partitions of n into parts not congruent to 0, +-t mod 2l+1.
 
-    Plain recursive enumeration over admissible parts in decreasing order,
-    with no generating functions involved.
+    A table over (weight left, smallest admissible part allowed), filled
+    by increasing weight: a partition of r into admissible parts that are
+    all at least parts[s] either has no part equal to parts[s], or has one
+    and the rest is such a partition of r - parts[s]. Each entry costs one
+    addition, so the work is O(n^2) and no generating function is involved.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    allowed = [p for p in range(n, 0, -1) if cond.allows_part(p)]
-
-    def rec(remaining: int, start: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for j in range(start, len(allowed)):
-            p = allowed[j]
-            if p <= remaining:
-                total += rec(remaining - p, j)
-        return total
-
-    return rec(n, 0)
+    parts = [p for p in range(1, n + 1) if cond.allows_part(p)]
+    # at_least[r][s]: partitions of r into admissible parts >= parts[s];
+    # the last column, past every part, counts only the empty partition
+    at_least = [[1] * (len(parts) + 1)]
+    for r in range(1, n + 1):
+        # entries for parts above r stay 0
+        row = [0] * (len(parts) + 1)
+        for s in reversed(range(bisect_right(parts, r))):
+            row[s] = row[s + 1] + at_least[r - parts[s]][s]
+        at_least.append(row)
+    return at_least[n][0]
 
 
 def min_gordon_weight(level: int, m: int) -> int:

@@ -26,7 +26,7 @@ MAX_CELLS = 10**7
 # A row is the coefficient list [c_0, ..., c_N] of a univariate q-series
 # truncated at q^N. These three functions are the only truncated univariate
 # arithmetic of the solver, the multisum and the products; the partition
-# enumerators and the ideal-quotient oracle stay outside them, so they remain
+# counts and the ideal-quotient oracle stay outside them, so they remain
 # an independent check on them.
 
 

@@ -379,8 +379,15 @@ PINNED_STDOUT = [
      "b134a10c588cd93ae8add36c5f7c46bddf928027e22801e22a77d264cb0c9a9e"),
     (("verify-gordon", "--l", "3", "--t", "2", "--qmax", "30"), 0,
      "29140ef5d75174bfd636a9095f2c0d6cd7206ce770dbb5c512ac922eba5846b8"),
+    (("verify-gordon", "--l", "3", "--t", "1", "--qmax", "50"), 0,
+     "72b9ce83f70d7b08f3eaa61e0b0dcaee5e454028807761b54b892cc3921a18f7"),
+    (("verify-gordon", "--l", "6", "--t", "3", "--qmax", "50"), 0,
+     "4dc9624eb15b76cc9724587b3e9c283a55c8d9a5e2ec852893db4c991d50496a"),
     (("crosscheck", "--k", "2", "--mmax", "6", "--wmax", "16"), 0,
      "9e816b39a4da33a4a67db92c961076abed75b437db210280d68b0230adeb33bf"),
+    # members i = 3..12 share one multisum and one ideal-quotient table
+    (("crosscheck", "--k", "12", "--mmax", "3", "--wmax", "10"), 0,
+     "5eaa482c79d12f4ab994e8667e910e66fddb5fe76bedddb7377acf74c096bfde"),
     (("oracle", "--k", "2", "--e", "1", "--mmax", "6", "--wmax", "16", "--format", "json"), 0,
      "855c7b0b9a8eea6c5d675685efbe1445ed34271d2d0eed4c3b7b02c07bf02dc9"),
     (("oracle", "--k", "2", "--e", "1", "--mmax", "6", "--wmax", "16", "--format", "tsv"), 0,

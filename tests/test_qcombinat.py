@@ -32,6 +32,25 @@ def brute_partitions(n):
     yield from rec(n, n)
 
 
+def enumerated_congruence_count(cond, n):
+    """Partitions of n into admissible parts, counted by recursive
+    enumeration over the parts in decreasing order: the slow reference
+    for the memoized count."""
+    allowed = [p for p in range(n, 0, -1) if cond.allows_part(p)]
+
+    def rec(remaining, start):
+        if remaining == 0:
+            return 1
+        total = 0
+        for j in range(start, len(allowed)):
+            p = allowed[j]
+            if p <= remaining:
+                total += rec(remaining - p, j)
+        return total
+
+    return rec(n, 0)
+
+
 def test_gordon_condition_validation():
     cond = GordonCondition(3, 2)
     assert cond.level == 2 and cond.modulus == 7
@@ -190,6 +209,46 @@ def test_counts_against_unfiltered_brute_force():
             assert list(iter_gordon_partitions(cond, n)) == expected_gordon
             assert count_gordon_partitions(cond, n) == len(expected_gordon)
             assert count_congruence_partitions(cond, n) == expected_cong
+
+
+@pytest.mark.parametrize("l,t,n_max", [
+    *[(l, t, 30) for l in (2, 3, 4, 6) for t in range(1, l + 1)],
+    *[(3, t, 40) for t in (1, 2, 3)],
+])
+def test_counts_against_the_enumerators(l, t, n_max):
+    cond = GordonCondition(l, t)
+    for n in range(n_max + 1):
+        assert count_gordon_partitions(cond, n) == len(list(iter_gordon_partitions(cond, n)))
+        assert count_congruence_partitions(cond, n) == enumerated_congruence_count(cond, n)
+
+
+@pytest.mark.parametrize("l,t,n_max", [(3, 1, 200), (3, 2, 200), (3, 3, 200), (60, 60, 60)])
+def test_counts_against_the_product(l, t, n_max):
+    # at l = t = 60 and n <= 60 only the partition of 60 into ones breaks
+    # the frequency conditions: the transfer's rows are cut by f_j <= n // j,
+    # not by l
+    cond = GordonCondition(l, t)
+    product = list(gordon_product(cond, n_max).row(0))
+    assert [count_gordon_partitions(cond, n) for n in range(n_max + 1)] == product
+    assert [count_congruence_partitions(cond, n) for n in range(n_max + 1)] == product
+
+
+def test_count_edge_cases():
+    for l, t in [(2, 1), (3, 2), (5, 5)]:
+        cond = GordonCondition(l, t)
+        assert count_gordon_partitions(cond, 0) == 1
+        assert count_congruence_partitions(cond, 0) == 1
+        with pytest.raises(ValueError):
+            count_gordon_partitions(cond, -1)
+        with pytest.raises(ValueError):
+            count_congruence_partitions(cond, -1)
+    # t = 1 allows no part equal to 1: nothing weighs 1, and of 2 only (2,)
+    for l in (2, 4, 60):
+        cond = GordonCondition(l, 1)
+        assert count_gordon_partitions(cond, 1) == 0
+        assert count_congruence_partitions(cond, 1) == 0
+        assert count_gordon_partitions(cond, 2) == 1
+        assert count_congruence_partitions(cond, 2) == 1
 
 
 def test_gordon_identity_small_range():
