@@ -47,14 +47,9 @@ from .selberg import (
 )
 from .ideal_quotient import (
     DimensionTable,
-    GeneratorSet,
-    count_partitions_exact,
-    generator_set,
     hilbert_table,
-    ideal_span_dimension,
     integer_matrix_rank,
     partitions_exact,
-    quotient_dimension,
     r_polynomial,
 )
 
@@ -63,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiSeries",
     "DimensionTable",
-    "GeneratorSet",
     "GordonCondition",
     "RecursionFamily",
     "WeightData",
@@ -74,12 +68,9 @@ __all__ = [
     "count_congruence_partitions",
     "count_gordon_partitions",
     "count_gordon_partitions_refined",
-    "count_partitions_exact",
     "from_terms",
-    "generator_set",
     "gordon_product",
     "hilbert_table",
-    "ideal_span_dimension",
     "integer_matrix_rank",
     "inverse_pochhammer",
     "invert_one_minus_q_power",
@@ -89,7 +80,6 @@ __all__ = [
     "one",
     "partitions_exact",
     "pochhammer",
-    "quotient_dimension",
     "r_polynomial",
     "solve",
     "specialize_x",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -28,9 +30,11 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 
 # oracle and crosscheck build full ideal-quotient tables; beyond this window
 # the exact rank computations stop being interactive-fast, so larger requests
-# are rejected as usage errors rather than left to crawl
-ORACLE_MAX_M = 8
-ORACLE_MAX_W = 20
+# are rejected as usage errors rather than left to crawl. At the edge,
+# crosscheck --mmax 12 --wmax 30 takes at most about 5.5 s (k = 2..5, the
+# slowest being k=3) and 1.5 s from k=9 on, on Python 3.11 and a 2-core Xeon
+ORACLE_MAX_M = 12
+ORACLE_MAX_W = 30
 # verify-gordon counts partitions with transfer tables, O(n^2 log n) for each
 # n <= qmax. At q=200 it takes about 1.0 s for l=6, t=3 and 1.4 s for
 # l=t=201; with --xmax 200 the multisum dominates, about 10 s for l=t=60
@@ -203,6 +207,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 def cmd_check_recursions(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
+            # a device or pipe may never end, and json.load would read it all
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return _usage(f"cannot load family from {args.input!r}: not a regular file")
             obj = json.load(fh)
         fam = RecursionFamily.from_json_dict(obj)
     except (OSError, ValueError, RecursionError) as exc:

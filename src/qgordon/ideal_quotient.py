@@ -11,14 +11,15 @@ ideal attached to level k and y-power exponent e is generated by
   degree-(k+1) monomial weighted by its multinomial number of orderings;
 * y_1^e, with 1 <= e <= k+1.
 
-A bidegree of the ideal is spanned by monomial multiples of the
-generators. The multiples of y_1^e are monomials, those with at least e
-indices equal to 1, so they are counted; only the products of monomials
-with the r_w are ranked, exactly, over the monomials that remain. Nothing
-here touches the recursion system or the multisum: quotient dimensions
-come out of monomial counts and fraction-free linear algebra alone, which
-is what makes the resulting tables usable as an oracle against the other
-two computation routes.
+``hilbert_table`` fills a whole (charge, weight) window in one pass. The
+multiples of y_1^e are the monomials with at least e indices equal to 1,
+so they are dropped from the basis instead of ranked; the products of
+monomials with the r_w are expressed over the monomials that remain, and
+each quotient dimension is |basis| - rank, with the rank taken exactly.
+Nothing here touches the recursion system or the multisum: quotient
+dimensions come out of monomial counts and fraction-free linear algebra
+alone, which is what makes the resulting tables usable as an oracle
+against the other two computation routes.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ def partitions_exact(w: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def count_partitions_exact(w: int, m: int) -> int:
-    return len(partitions_exact(w, m))
-
-
 def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
     """The charge-(k+1), weight-w generator as (monomial, multiplicity) pairs,
     each monomial y_(j1) ... y_(j(k+1)) given by its index tuple j1 >= j2 >= ...
@@ -80,35 +77,6 @@ def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
             mult //= math.factorial(lam.count(v))
         out.append((lam, mult))
     return out
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """All ideal generators needed up to a working weight bound.
-
-    e is the exponent of the y_1 power generator, or None to omit it
-    (for the top member e = k+1 it is redundant: the weight-(k+1)
-    r-generator is exactly y_1^(k+1)).
-    """
-
-    k: int
-    e: int | None
-    w_max: int
-    r_polys: dict[int, tuple[tuple[tuple[int, ...], int], ...]]
-
-
-def generator_set(k: int, e: int | None, w_max: int) -> GeneratorSet:
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if e is not None and not 1 <= e <= k + 1:
-        raise ValueError("need 1 <= e <= k+1")
-    r_polys = {
-        w: tuple(r_polynomial(k, w)) for w in range(k + 1, w_max + 1)
-    }
-    return GeneratorSet(k=k, e=e, w_max=w_max, r_polys=r_polys)
-
-
-# -- exact rank ------------------------------------------------------------------
 
 
 def integer_matrix_rank(rows: list[list[int]]) -> int:
@@ -148,45 +116,6 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-# -- span and quotient dimensions ---------------------------------------------------
-
-
-def ideal_span_dimension(gens: GeneratorSet, m: int, w: int) -> int:
-    """Dimension of the bidegree-(m, w) piece of the ideal.
-
-    The multiples of y_1^e form a monomial ideal: in bidegree (m, w) they are
-    the partitions with at least e parts equal to 1, so they are counted, not
-    ranked. The products mu * r over generators r and monomials mu of
-    complementary bidegree are expressed over the remaining monomials, and
-    the exact rank of that matrix is added to the count.
-    """
-    if m < 0 or w < 0:
-        raise ValueError("need m, w >= 0")
-    if w > gens.w_max:
-        raise ValueError(f"weight {w} beyond generator working bound {gens.w_max}")
-    full = partitions_exact(w, m)
-    e = gens.e
-    basis = [lam for lam in full if e is None or lam.count(1) < e]
-    index = {lam: j for j, lam in enumerate(basis)}
-    rows: list[list[int]] = []
-    k = gens.k
-    for w_gen in range(k + 1, w + 1):
-        for mu in partitions_exact(w - w_gen, m - k - 1):
-            row = [0] * len(basis)
-            for mono, mult in gens.r_polys[w_gen]:
-                j = index.get(tuple(sorted(mu + mono, reverse=True)))
-                if j is not None:
-                    row[j] += mult
-            if any(row):
-                rows.append(row)
-    return len(full) - len(basis) + integer_matrix_rank(rows)
-
-
-def quotient_dimension(gens: GeneratorSet, m: int, w: int) -> int:
-    """Dimension of the bidegree-(m, w) piece of the quotient algebra."""
-    return count_partitions_exact(w, m) - ideal_span_dimension(gens, m, w)
-
-
 @dataclass(frozen=True)
 class DimensionTable:
     """Exact quotient dimensions on a rectangular (charge, weight) window."""
@@ -219,12 +148,41 @@ class DimensionTable:
 
 
 def hilbert_table(k: int, e: int | None, m_max: int, w_max: int) -> DimensionTable:
-    """Fill the whole window of quotient dimensions for level k and exponent e."""
+    """Fill the whole window of quotient dimensions for level k and exponent e.
+
+    e is the exponent of the y_1 power generator, or None to omit it (for
+    the top member e = k+1 it is redundant: the weight-(k+1) r-generator is
+    exactly y_1^(k+1)). Each cell's basis is the partitions with fewer than
+    e ones, and its dimension is the size of that basis less the exact rank
+    of the products mu * r over generators r and monomials mu of
+    complementary bidegree, written in that basis.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if e is not None and not 1 <= e <= k + 1:
+        raise ValueError("need 1 <= e <= k+1")
     if m_max < 0 or w_max < 0:
         raise ValueError("window bounds must be nonnegative")
-    gens = generator_set(k, e, w_max)
-    entries = tuple(
-        tuple(quotient_dimension(gens, m, w) for w in range(w_max + 1))
-        for m in range(m_max + 1)
-    )
-    return DimensionTable(k=k, e=e, entries=entries)
+    parts = [[partitions_exact(w, m) for w in range(w_max + 1)] for m in range(m_max + 1)]
+    r_polys = {w: r_polynomial(k, w) for w in range(k + 1, w_max + 1)}
+    entries = []
+    for m in range(m_max + 1):
+        row_m = []
+        for w in range(w_max + 1):
+            basis = [lam for lam in parts[m][w] if e is None or lam.count(1) < e]
+            index = {lam: j for j, lam in enumerate(basis)}
+            rows: list[list[int]] = []
+            # below charge k+1 no generator fits, and parts[m - k - 1] would
+            # wrap around to the end of the list
+            for w_gen in range(k + 1, w + 1) if m > k else ():
+                for mu in parts[m - k - 1][w - w_gen]:
+                    row = [0] * len(basis)
+                    for mono, mult in r_polys[w_gen]:
+                        j = index.get(tuple(sorted(mu + mono, reverse=True)))
+                        if j is not None:
+                            row[j] += mult
+                    if any(row):
+                        rows.append(row)
+            row_m.append(len(basis) - integer_matrix_rank(rows))
+        entries.append(tuple(row_m))
+    return DimensionTable(k=k, e=e, entries=tuple(entries))

@@ -332,6 +332,13 @@ def test_check_recursions_deeply_nested_json(tmp_path, capsys):
     assert "cannot load family" in err
 
 
+def test_check_recursions_refuses_endless_input():
+    code, out, err, wall = run_limited("check-recursions", "--input", "/dev/zero",
+                                       memory_mb=400)
+    assert (code, out) == (2, "")
+    assert "not a regular file" in err and wall < 30
+
+
 def _declare_family_window(obj, q_order):
     obj["q_order"] = q_order
     for member in obj["F"]:
@@ -392,6 +399,13 @@ PINNED_STDOUT = [
      "855c7b0b9a8eea6c5d675685efbe1445ed34271d2d0eed4c3b7b02c07bf02dc9"),
     (("oracle", "--k", "2", "--e", "1", "--mmax", "6", "--wmax", "16", "--format", "tsv"), 0,
      "1c08acc08c19b7ef1cc0377378d3d4f4e21958a3c05710081f9b1a43fddff9a4"),
+    (("oracle", "--k", "3", "--e", "2", "--mmax", "8", "--wmax", "20"), 0,
+     "47aa2517c420fe84ff062233951fa9ccc58fc5fef364ee4f1af98e0ad68285b5"),
+    # generator charge k+1 = 5
+    (("oracle", "--k", "4", "--e", "5", "--mmax", "8", "--wmax", "20", "--format", "json"), 0,
+     "5b1ff14389de1046567c3ec6b47414ef1ea5a6264b4d2bb0a8cd7131c6548dfe"),
+    (("crosscheck", "--k", "4", "--mmax", "8", "--wmax", "20"), 0,
+     "f0f4eb35a5aa88cded82a583636d27173b8e1d5ab2a2a6308e10b0e92bec225b"),
 ]
 PINNED_CHECK_RECURSIONS = "5d960b3f71207dd1cdaf7ee0830285b7daa70e57cb237f43d6db1c03d51503d5"
 

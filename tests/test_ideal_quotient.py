@@ -7,13 +7,9 @@ import pytest
 
 from qgordon import (
     andrews_gordon_multisum,
-    count_partitions_exact,
-    generator_set,
     hilbert_table,
-    ideal_span_dimension,
     integer_matrix_rank,
     partitions_exact,
-    quotient_dimension,
     r_polynomial,
     solve,
 )
@@ -56,7 +52,6 @@ def test_partitions_exact():
     assert partitions_exact(3, 0) == []
     assert partitions_exact(2, 3) == []
     assert partitions_exact(6, 3) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
-    assert count_partitions_exact(10, 4) == len(partitions_exact(10, 4))
 
 
 def test_r_polynomial_small():
@@ -110,10 +105,11 @@ def test_integer_matrix_rank_randomized():
 
 
 def test_ideal_span_examples():
-    gens = generator_set(1, 2, 8)
-    assert ideal_span_dimension(gens, 2, 2) == 1
-    assert ideal_span_dimension(gens, 2, 4) == 1
-    assert ideal_span_dimension(gens, 0, 0) == 0
+    # the ideal's piece of bidegree (m, w) has dimension |partitions| - dim
+    table = hilbert_table(1, 2, 2, 8)
+    assert len(partitions_exact(2, 2)) - table.dim(2, 2) == 1
+    assert len(partitions_exact(4, 2)) - table.dim(2, 4) == 1
+    assert len(partitions_exact(0, 0)) - table.dim(0, 0) == 0
 
 
 def full_span_dimension(k, e, m, w):
@@ -137,32 +133,30 @@ def full_span_dimension(k, e, m, w):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ideal_span_matches_full_span_rank(k):
     for e in [*range(1, k + 2), None]:
-        gens = generator_set(k, e, 12)
+        table = hilbert_table(k, e, 5, 12)
         for m in range(6):
             for w in range(13):
-                assert ideal_span_dimension(gens, m, w) == full_span_dimension(k, e, m, w), (e, m, w)
+                want = len(partitions_exact(w, m)) - full_span_dimension(k, e, m, w)
+                assert table.entries[m][w] == want, (e, m, w)
 
 
 def test_quotient_examples():
-    gens = generator_set(1, 2, 8)
+    table = hilbert_table(1, 2, 2, 8)
     for w in range(1, 9):
-        assert quotient_dimension(gens, 1, w) == 1
-    assert quotient_dimension(gens, 2, 4) == 1
-    gens_e1 = generator_set(1, 1, 4)
-    assert quotient_dimension(gens_e1, 1, 1) == 0
+        assert table.dim(1, w) == 1
+    assert table.dim(2, 4) == 1
+    assert hilbert_table(1, 1, 1, 4).dim(1, 1) == 0
 
 
-def test_span_working_bound_enforced():
-    gens = generator_set(1, 2, 6)
+def test_hilbert_table_validation():
     with pytest.raises(ValueError):
-        ideal_span_dimension(gens, 2, 7)
-
-
-def test_generator_set_validation():
+        hilbert_table(1, 3, 2, 6)
     with pytest.raises(ValueError):
-        generator_set(1, 3, 6)
+        hilbert_table(0, 1, 2, 6)
     with pytest.raises(ValueError):
-        generator_set(0, 1, 6)
+        hilbert_table(1, 0, 2, 6)
+    with pytest.raises(ValueError):
+        hilbert_table(1, 1, -1, 6)
 
 
 def test_hilbert_table_level_one_frozen():
@@ -200,11 +194,10 @@ def test_quotient_monotone_in_exponent():
 
 
 def test_rank_bounds():
-    gens = generator_set(2, 2, 9)
+    table = hilbert_table(2, 2, 4, 9)
     for m in range(5):
         for w in range(10):
-            r = ideal_span_dimension(gens, m, w)
-            assert 0 <= r <= count_partitions_exact(w, m)
+            assert 0 <= table.dim(m, w) <= len(partitions_exact(w, m))
 
 
 def test_table_tsv_shape():
