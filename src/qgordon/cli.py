@@ -31,8 +31,8 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # oracle and crosscheck build full ideal-quotient tables; beyond this window
 # the exact rank computations stop being interactive-fast, so larger requests
 # are rejected as usage errors rather than left to crawl. At the edge,
-# crosscheck --mmax 12 --wmax 30 takes at most about 5.5 s (k = 2..5, the
-# slowest being k=3) and 1.5 s from k=9 on, on Python 3.11 and a 2-core Xeon
+# crosscheck --mmax 12 --wmax 30 takes at most about 5.7 s (k = 3..5) and
+# about 2 s from k=8 on, on Python 3.11 and a shared 2-core Xeon
 ORACLE_MAX_M = 12
 ORACLE_MAX_W = 30
 # verify-gordon counts partitions with transfer tables, O(n^2 log n) for each
@@ -206,10 +206,13 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 
 def cmd_check_recursions(args: argparse.Namespace) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            # a device or pipe may never end, and json.load would read it all
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                return _usage(f"cannot load family from {args.input!r}: not a regular file")
+        # a FIFO without a writer would block a plain open(), and a device or
+        # pipe may never end, so open without blocking and check the type first
+        fd = os.open(args.input, os.O_RDONLY | os.O_NONBLOCK)
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            return _usage(f"cannot load family from {args.input!r}: not a regular file")
+        with os.fdopen(fd, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         fam = RecursionFamily.from_json_dict(obj)
     except (OSError, ValueError, RecursionError) as exc:

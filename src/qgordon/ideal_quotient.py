@@ -13,13 +13,13 @@ ideal attached to level k and y-power exponent e is generated by
 
 ``hilbert_table`` fills a whole (charge, weight) window in one pass. The
 multiples of y_1^e are the monomials with at least e indices equal to 1,
-so they are dropped from the basis instead of ranked; the products of
-monomials with the r_w are expressed over the monomials that remain, and
-each quotient dimension is |basis| - rank, with the rank taken exactly.
-Nothing here touches the recursion system or the multisum: quotient
-dimensions come out of monomial counts and fraction-free linear algebra
-alone, which is what makes the resulting tables usable as an oracle
-against the other two computation routes.
+so they are dropped from the basis (and as multipliers) instead of ranked;
+the products of the remaining monomials with the r_w are sparse integer
+rows over that basis, and each quotient dimension is |basis| - rank, with
+the rank taken exactly. Nothing here touches the recursion system or the
+multisum: quotient dimensions come out of monomial counts and integer row
+reduction alone, which is what makes the resulting tables usable as an
+oracle against the other two computation routes.
 """
 
 from __future__ import annotations
@@ -80,40 +80,31 @@ def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def integer_matrix_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+    """Rank of an integer matrix: the pivots of a sparse echelon basis.
 
-    Rows are combined by cross-multiplication with the gcd divided out, so
-    the computation never leaves the integers and never divides inexactly.
+    Each row, as {column: nonzero coefficient}, becomes the pivot of its
+    leading column or is cross-multiplied against that pivot, with the gcd
+    divided out, until it does or vanishes; rows itself is left unchanged.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col]:
-                pivot = r
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        row = {c: v for c, v in enumerate(dense) if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pval = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            rv = m[r][col]
-            if not rv:
-                continue
-            g = math.gcd(pval, rv)
-            alpha, beta = pval // g, rv // g
-            row = m[r]
-            top = m[rank]
-            for c in range(col, n_cols):
-                row[c] = alpha * row[c] - beta * top[c]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+            g = math.gcd(pivot[lead], row[lead])
+            alpha, beta = pivot[lead] // g, row[lead] // g
+            row = {c: alpha * v for c, v in row.items()}
+            for c, v in pivot.items():
+                v = row.get(c, 0) - beta * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -163,26 +154,26 @@ def hilbert_table(k: int, e: int | None, m_max: int, w_max: int) -> DimensionTab
         raise ValueError("need 1 <= e <= k+1")
     if m_max < 0 or w_max < 0:
         raise ValueError("window bounds must be nonnegative")
-    parts = [[partitions_exact(w, m) for w in range(w_max + 1)] for m in range(m_max + 1)]
+    bases = [[[lam for lam in partitions_exact(w, m) if e is None or lam.count(1) < e]
+              for w in range(w_max + 1)] for m in range(m_max + 1)]
     r_polys = {w: r_polynomial(k, w) for w in range(k + 1, w_max + 1)}
     entries = []
     for m in range(m_max + 1):
         row_m = []
         for w in range(w_max + 1):
-            basis = [lam for lam in parts[m][w] if e is None or lam.count(1) < e]
-            index = {lam: j for j, lam in enumerate(basis)}
+            index = {lam: j for j, lam in enumerate(bases[m][w])}
             rows: list[list[int]] = []
-            # below charge k+1 no generator fits, and parts[m - k - 1] would
-            # wrap around to the end of the list
+            # below charge k+1 no generator fits, and bases[m - k - 1] would
+            # wrap around; a mu with e or more ones has no product in a basis
             for w_gen in range(k + 1, w + 1) if m > k else ():
-                for mu in parts[m - k - 1][w - w_gen]:
-                    row = [0] * len(basis)
+                for mu in bases[m - k - 1][w - w_gen]:
+                    row = [0] * len(index)
                     for mono, mult in r_polys[w_gen]:
                         j = index.get(tuple(sorted(mu + mono, reverse=True)))
                         if j is not None:
                             row[j] += mult
                     if any(row):
                         rows.append(row)
-            row_m.append(len(basis) - integer_matrix_rank(rows))
+            row_m.append(len(index) - integer_matrix_rank(rows))
         entries.append(tuple(row_m))
     return DimensionTable(k=k, e=e, entries=tuple(entries))

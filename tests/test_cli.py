@@ -22,10 +22,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_limited(*argv, memory_mb=1024):
+def run_limited(*argv, memory_mb=1024, timeout=120):
     """Run the command in a child process capped at memory_mb of address
     space, so an unguarded allocation fails there instead of exhausting the
-    machine. Returns (exit code, stdout, stderr, wall seconds)."""
+    machine, and killed after timeout seconds, so a hang fails the test.
+    Returns (exit code, stdout, stderr, wall seconds)."""
 
     def cap():
         limit = memory_mb << 20
@@ -35,7 +36,7 @@ def run_limited(*argv, memory_mb=1024):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "qgordon.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
@@ -332,9 +333,21 @@ def test_check_recursions_deeply_nested_json(tmp_path, capsys):
     assert "cannot load family" in err
 
 
-def test_check_recursions_refuses_endless_input():
-    code, out, err, wall = run_limited("check-recursions", "--input", "/dev/zero",
-                                       memory_mb=400)
+def _fifo(tmp_path):
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    return str(path)
+
+
+# a device that never ends, and a named pipe that no writer ever opens
+@pytest.mark.parametrize(
+    "make_input",
+    [pytest.param(lambda tmp_path: "/dev/zero", id="dev-zero"),
+     pytest.param(_fifo, id="fifo")],
+)
+def test_check_recursions_refuses_endless_input(tmp_path, make_input):
+    code, out, err, wall = run_limited("check-recursions", "--input", make_input(tmp_path),
+                                       memory_mb=400, timeout=30)
     assert (code, out) == (2, "")
     assert "not a regular file" in err and wall < 30
 
@@ -406,6 +419,9 @@ PINNED_STDOUT = [
      "5b1ff14389de1046567c3ec6b47414ef1ea5a6264b4d2bb0a8cd7131c6548dfe"),
     (("crosscheck", "--k", "4", "--mmax", "8", "--wmax", "20"), 0,
      "f0f4eb35a5aa88cded82a583636d27173b8e1d5ab2a2a6308e10b0e92bec225b"),
+    # the edge of the oracle window, where the rank matrices are largest
+    (("oracle", "--k", "3", "--e", "2", "--mmax", "12", "--wmax", "30", "--format", "json"), 0,
+     "1e4f0a423d4d95cedae0101c2a9587ff3194d7f93cef6f17583f1121d3d229ff"),
 ]
 PINNED_CHECK_RECURSIONS = "5d960b3f71207dd1cdaf7ee0830285b7daa70e57cb237f43d6db1c03d51503d5"
 

@@ -95,13 +95,51 @@ def test_integer_matrix_rank_frozen():
     assert integer_matrix_rank([[0, 2, 1], [0, 4, 2], [1, 0, 7]]) == 2
 
 
+def _sparse_row(rng, cols):
+    return [rng.randrange(-5, 6) if rng.random() < 0.2 else 0 for _ in range(cols)]
+
+
+def _combinations(rng, base, n_rows):
+    """n_rows integer combinations of the base rows, so the rank is at most len(base)."""
+    out = []
+    for _ in range(n_rows):
+        coeffs = [rng.randrange(-3, 4) for _ in base]
+        out.append([sum(c * row[j] for c, row in zip(coeffs, base))
+                    for j in range(len(base[0]))])
+    return out
+
+
+def _random_matrices(rng):
+    for _ in range(200):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        yield [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+    # sparse and rank-deficient, up to 40 x 25
+    for _ in range(40):
+        cols = rng.randrange(1, 26)
+        base = [_sparse_row(rng, cols) for _ in range(rng.randrange(1, cols + 1))]
+        yield _combinations(rng, base, rng.randrange(1, 41))
+    # entries of about +-10^6, full rank and rank-deficient
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        m = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(cols)] for _ in range(rows)]
+        yield m if rng.random() < 0.5 else _combinations(rng, m[:2], rows)
+    # zero rows and repeated rows mixed into small matrices
+    for _ in range(40):
+        cols = rng.randrange(1, 7)
+        m = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rng.randrange(1, 5))]
+        m += [[0] * cols] * rng.randrange(0, 3) + [list(rng.choice(m))] * rng.randrange(0, 3)
+        rng.shuffle(m)
+        yield m
+    yield [[]]
+    yield [[0] * 5] * 4
+
+
 def test_integer_matrix_rank_randomized():
     rng = random.Random(1729)
-    for _ in range(200):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 6)
-        m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        assert integer_matrix_rank(m) == rational_rank(m)
+    for m in _random_matrices(rng):
+        before = [list(row) for row in m]
+        assert integer_matrix_rank(m) == rational_rank(m), m
+        assert m == before
 
 
 def test_ideal_span_examples():
