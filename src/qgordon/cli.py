@@ -3,8 +3,9 @@
 Subcommands: solve, verify-gordon, oracle, crosscheck, check-recursions.
 Standard output carries only data (JSON or TSV); progress notes go to
 standard error. Exit codes: 0 all comparisons matched, 1 a well-formed run
-found a mismatch, 2 usage error. Identical invocations produce
-byte-identical output; there are no config files or environment knobs.
+found a mismatch, 2 usage error or standard output closed by its reader
+before the data was written. Identical invocations produce byte-identical
+output; there are no config files or environment knobs.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _usage(f"window has more than MAX_CELLS={MAX_CELLS} coefficients")
     fam = solve(args.k, args.xmax, args.qmax)
     if args.format == "json":
-        print(json.dumps(fam.to_json_dict()))
+        fam.write_json(sys.stdout)
     else:
         print("i\ta\tb\tcoeff")
         for i, member in enumerate(fam.members):
@@ -165,7 +166,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     )
     table = hilbert_table(args.k, args.e, args.mmax, args.wmax)
     if args.format == "json":
-        print(json.dumps(table.to_biseries().to_json_dict()))
+        print(table.to_biseries().to_json_text())
     else:
         sys.stdout.write(table.to_tsv())
     return 0
@@ -302,7 +303,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull, so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = _usage("standard output was closed before the output was written")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row
 
@@ -85,6 +86,19 @@ class RecursionFamily:
             "q_order": self.q_order,
             "F": [f.to_json_dict() for f in self.members],
         }
+
+    def write_json(self, out: TextIO) -> None:
+        """Write json.dumps(self.to_json_dict()) and a newline to out, one
+        member at a time, so at most one member's text is held at once."""
+        out.write(
+            f'{{"k": {self.k}, "x_order": {self.x_order}, '
+            f'"q_order": {self.q_order}, "F": ['
+        )
+        for i, f in enumerate(self.members):
+            if i:
+                out.write(", ")
+            out.write(f.to_json_text())
+        out.write("]}\n")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> RecursionFamily:

@@ -228,6 +228,17 @@ class BiSeries:
             "terms": [[a, b, str(c)] for a, b, c in self.terms()],
         }
 
+    def to_json_text(self) -> str:
+        """The text json.dumps(self.to_json_dict()) writes, built straight
+        from the rows without the term lists in between."""
+        terms = ", ".join([
+            f'[{a}, {b}, "{c}"]'
+            for a, row in enumerate(self._rows)
+            for b, c in enumerate(row)
+            if c
+        ])
+        return f'{{"x_order": {self.x_order}, "q_order": {self.q_order}, "terms": [{terms}]}}'
+
     @classmethod
     def from_json_dict(cls, obj: dict) -> BiSeries:
         """Inverse of to_json_dict. Orders and indices must be JSON integers,

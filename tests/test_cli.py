@@ -22,20 +22,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_limited(*argv, memory_mb=1024, timeout=120):
-    """Run the command in a child process capped at memory_mb of address
-    space, so an unguarded allocation fails there instead of exhausting the
-    machine, and killed after timeout seconds, so a hang fails the test.
-    Returns (exit code, stdout, stderr, wall seconds)."""
+def _child(memory_mb):
+    """The command line of the CLI in a child process, its environment, and
+    a preexec_fn that caps the child at memory_mb of address space."""
 
     def cap():
         limit = memory_mb << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(Path(qgordon.__file__).parents[1]))
+    return [sys.executable, "-m", "qgordon.cli"], env, cap
+
+
+def run_limited(*argv, memory_mb=1024, timeout=120):
+    """Run the command in a child process capped at memory_mb of address
+    space, so an unguarded allocation fails there instead of exhausting the
+    machine, and killed after timeout seconds, so a hang fails the test.
+    Returns (exit code, stdout, stderr, wall seconds)."""
+    command, env, cap = _child(memory_mb)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "qgordon.cli", *argv],
+        [*command, *argv],
         capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
@@ -73,6 +80,32 @@ def test_solve_over_the_cell_cap():
                                        "--qmax", "100000000", memory_mb=400)
     assert (code, out) == (2, "")
     assert "MAX_CELLS" in err and wall < 30
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_solve_into_a_closed_pipe(fmt):
+    # like `qgordon solve ... | head -c 20`: the reader leaves after a few bytes
+    command, env, cap = _child(1024)
+    proc = subprocess.Popen(
+        [*command, "solve", "--k", "4", "--xmax", "80", "--qmax", "1200", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, preexec_fn=cap,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_solve_json_within_a_memory_cap():
+    # the writer holds one member's text at a time, not the family's term lists
+    code, out, err, _ = run_limited("solve", "--k", "1", "--xmax", "9", "--qmax", "49999",
+                                    "--format", "json", memory_mb=200)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["k"] == 1 and len(obj["F"]) == 2
 
 
 def test_no_command_and_unknown_command(capsys):
@@ -397,6 +430,13 @@ PINNED_STDOUT = [
      "f70df91564cd244235bef1da5376575a596cf996dbc76f2df0a13025f5bf3406"),
     (("solve", "--k", "2", "--xmax", "6", "--qmax", "40", "--format", "tsv"), 0,
      "b134a10c588cd93ae8add36c5f7c46bddf928027e22801e22a77d264cb0c9a9e"),
+    # a wide family, a window of x-degree 0 only, and the smallest window
+    (("solve", "--k", "4", "--xmax", "80", "--qmax", "1200", "--format", "json"), 0,
+     "6ee2e9e06ce7da41e6503a785dac7db15fd2429104d8ea7dc6f0fd3972f43778"),
+    (("solve", "--k", "3", "--xmax", "0", "--qmax", "5", "--format", "json"), 0,
+     "0f79785cc9262def6319a96db24e865be6ec304d867ee0758c354a0370e58bde"),
+    (("solve", "--k", "1", "--xmax", "0", "--qmax", "0", "--format", "json"), 0,
+     "476af4ff9833a99152eb3a6b35bd4b44ea601da97f66c127411dac2da91e4d22"),
     (("verify-gordon", "--l", "3", "--t", "2", "--qmax", "30"), 0,
      "29140ef5d75174bfd636a9095f2c0d6cd7206ce770dbb5c512ac922eba5846b8"),
     (("verify-gordon", "--l", "3", "--t", "1", "--qmax", "50"), 0,

@@ -1,5 +1,7 @@
 """The recursion system: solver, residual checks, and normalization data."""
 
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -178,6 +180,14 @@ def test_family_json_round_trip():
     obj = fam.to_json_dict()
     back = RecursionFamily.from_json_dict(obj)
     assert back == fam
+
+
+@pytest.mark.parametrize("k, x_order, q_order", [(1, 0, 0), (3, 0, 5), (2, 6, 40)])
+def test_family_write_json_is_the_dumps_of_the_dict(k, x_order, q_order):
+    fam = solve(k, x_order, q_order)
+    out = io.StringIO()
+    fam.write_json(out)
+    assert out.getvalue() == json.dumps(fam.to_json_dict()) + "\n"
 
 
 def test_family_validation():

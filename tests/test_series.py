@@ -10,6 +10,7 @@ from qgordon import (
     andrews_gordon_multisum,
     from_terms,
     gordon_product,
+    hilbert_table,
     inverse_pochhammer,
     invert_one_minus_q_power,
     monomial,
@@ -225,6 +226,21 @@ def test_json_round_trip():
     obj = s.to_json_dict()
     assert obj["terms"] == [[0, 0, "1"], [1, 2, "-12345678901234567890"], [2, 3, "4"]]
     assert BiSeries.from_json_dict(json.loads(json.dumps(obj))) == s
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        pytest.param(zero(0, 0), id="zero-0-0"),
+        pytest.param(zero(2, 3), id="zero-2-3"),
+        pytest.param(one(3, 4), id="one"),
+        pytest.param(from_terms(2, 5, {(0, 0): -1, (1, 3): -42, (2, 5): 7}), id="negative"),
+        pytest.param(from_terms(1, 2, {(1, 1): 2**200 + 1, (0, 2): -(3**130)}), id="huge"),
+        pytest.param(hilbert_table(2, 2, 6, 14).to_biseries(), id="oracle-table"),
+    ],
+)
+def test_json_text_is_the_dumps_of_the_dict(series):
+    assert series.to_json_text() == json.dumps(series.to_json_dict())
 
 
 def test_json_validation():
