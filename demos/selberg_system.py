@@ -6,7 +6,7 @@ term 1; the checker then re-evaluates each equation's residual from
 scratch on the truncation window.
 """
 
-from qgordon import check_k2_example, check_recursions, solve
+from qgordon import check_recursions, solve
 
 R, N = 10, 30
 
@@ -19,12 +19,8 @@ names = [
     "F_2(x,q) - (xq)^2 F_0(xq,q) - F_1(x,q)",
     "F_0(x,q) - F_2(xq,q)",
 ]
-for name, residual in zip(names, check_k2_example(fam)):
-    print(f"  {name} = {'0' if residual.is_zero() else str(residual)}")
-print()
-
-print("Full system residuals (general checker):",
-      ["zero" if r.is_zero() else "NONZERO" for r in check_recursions(fam)])
+for name, residual in zip(names, check_recursions(fam)):
+    print(f"  {name} = {'0' if residual.is_zero() else f'NONZERO {residual}'}")
 print()
 
 print("Coefficientwise monotonicity F_0 <= F_1 <= F_2:")

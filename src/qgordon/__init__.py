@@ -39,7 +39,6 @@ from .qcombinat import (
 from .selberg import (
     RecursionFamily,
     WeightData,
-    check_k2_example,
     check_recursions,
     check_rr_recursion,
     solve,
@@ -62,7 +61,6 @@ __all__ = [
     "RecursionFamily",
     "WeightData",
     "andrews_gordon_multisum",
-    "check_k2_example",
     "check_recursions",
     "check_rr_recursion",
     "count_congruence_partitions",

@@ -112,7 +112,7 @@ class DimensionTable:
     """Exact quotient dimensions on a rectangular (charge, weight) window."""
 
     k: int
-    e: int | None
+    e: int
     entries: tuple[tuple[int, ...], ...]  # entries[m][w]
 
     @property
@@ -138,23 +138,23 @@ class DimensionTable:
         return "\n".join(lines) + "\n"
 
 
-def hilbert_table(k: int, e: int | None, m_max: int, w_max: int) -> DimensionTable:
+def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     """Fill the whole window of quotient dimensions for level k and exponent e.
 
-    e is the exponent of the y_1 power generator, or None to omit it (for
-    the top member e = k+1 it is redundant: the weight-(k+1) r-generator is
-    exactly y_1^(k+1)). Each cell's basis is the partitions with fewer than
-    e ones, and its dimension is the size of that basis less the exact rank
-    of the products mu * r over generators r and monomials mu of
-    complementary bidegree, written in that basis.
+    e is the exponent of the y_1 power generator (for the top member e = k+1
+    it is redundant: the weight-(k+1) r-generator is exactly y_1^(k+1)).
+    Each cell's basis is the partitions with fewer than e ones, and its
+    dimension is the size of that basis less the exact rank of the products
+    mu * r over generators r and monomials mu of complementary bidegree,
+    written in that basis.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    if e is not None and not 1 <= e <= k + 1:
+    if e not in range(1, k + 2):
         raise ValueError("need 1 <= e <= k+1")
     if m_max < 0 or w_max < 0:
         raise ValueError("window bounds must be nonnegative")
-    bases = [[[lam for lam in partitions_exact(w, m) if e is None or lam.count(1) < e]
+    bases = [[[lam for lam in partitions_exact(w, m) if lam.count(1) < e]
               for w in range(w_max + 1)] for m in range(m_max + 1)]
     r_polys = {w: r_polynomial(k, w) for w in range(k + 1, w_max + 1)}
     entries = []

@@ -100,7 +100,7 @@ def gordon_product(cond: GordonCondition, q_order: int) -> BiSeries:
     for i in range(1, q_order + 1):
         if cond.allows_part(i):
             div_one_minus_q_power(row, i)
-    return BiSeries._of([row])
+    return BiSeries._of([tuple(row)])
 
 
 # -- Andrews-Gordon multisum ----------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import TextIO
 
 from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row
@@ -134,28 +135,22 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
     if x_order < 0 or q_order < 0:
         raise ValueError("orders must be nonnegative")
     R, N = x_order, q_order
-    # a[i][m]: q-coefficients of x^m in F_i
-    a = [[[0] * (N + 1) for _ in range(R + 1)] for _ in range(k + 1)]
-    for i in range(k + 1):
-        a[i][0][0] = 1
+    # a[i][m]: q-coefficients of x^m in F_i, one tuple per row
+    start = (1,) + (0,) * N
+    a = [[start] for _ in range(k + 1)]
     for m in range(1, R + 1):
-        total = [0] * (N + 1)
-        for j in range(1, min(k, m) + 1):
-            src = a[k - j][m - j]
-            for b in range(N + 1):
-                total[b] += src[b]
-        top = shift_row(total, m)
+        bumps = [shift_row(a[k - i][m - i], m) for i in range(1, min(k, m) + 1)]
+        top = [sum(column) for column in zip(*bumps)]
         div_one_minus_q_power(top, m)
-        a[k][m] = top
-        a[0][m] = shift_row(top, m)
-        for i in range(1, k + 1):
-            prev = a[i - 1][m]
-            if m - i >= 0:
-                bump = shift_row(a[k - i][m - i], m)
-                a[i][m] = [p + s for p, s in zip(prev, bump)]
-            else:
-                a[i][m] = list(prev)
-    members = tuple(BiSeries._of(a[i]) for i in range(k + 1))
+        a[k].append(tuple(top))
+        row = tuple(shift_row(top, m))
+        a[0].append(row)
+        for i in range(1, k):
+            # past i = m there is no x-degree m - i, so member i keeps the row
+            if i <= m:
+                row = tuple(map(add, row, bumps[i - 1]))
+            a[i].append(row)
+    members = tuple(map(BiSeries._of, a))
     return RecursionFamily(k=k, x_order=R, q_order=N, members=members)
 
 
@@ -181,19 +176,3 @@ def check_rr_recursion(series: BiSeries) -> BiSeries:
     F(x,q) - F(xq,q) - xq F(xq^2,q); zero iff the series satisfies it."""
     return series - series.qshift(1) - series.qshift(2).mul_monomial(1, 1)
 
-
-def check_k2_example(fam: RecursionFamily) -> list[BiSeries]:
-    """Residuals of the three level-2 equations in their worked form:
-
-        F_1 - xq F_1(xq,q) = F_0
-        F_2 - (xq)^2 F_0(xq,q) = F_1
-        F_0 = F_2(xq,q)
-    """
-    if fam.k != 2:
-        raise ValueError("the worked example is the level-2 system")
-    F0, F1, F2 = fam.members
-    return [
-        F1 - F1.qshift(1).mul_monomial(1, 1) - F0,
-        F2 - F0.qshift(1).mul_monomial(2, 2) - F1,
-        F0 - F2.qshift(1),
-    ]

@@ -12,6 +12,7 @@ Values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 # The largest window, in coefficients, that the JSON loaders and the solve
@@ -67,19 +68,20 @@ class BiSeries:
             )
         for row in frozen:
             for c in row:
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "x_order", x_order)
         object.__setattr__(self, "q_order", q_order)
         object.__setattr__(self, "_rows", frozen)
 
     @classmethod
-    def _of(cls, rows: Iterable[Iterable[int]]) -> BiSeries:
-        """Freeze a nonempty rectangular table of ints that this package built
-        itself; the orders are read off its shape and nothing is checked.
-        Caller-supplied data goes through the constructor instead."""
+    def _of(cls, rows: Iterable[tuple[int, ...]]) -> BiSeries:
+        """Wrap a nonempty rectangular table of int tuples that this package
+        built itself; the rows are kept as they are, the orders are read off
+        their shape and nothing is checked. Caller-supplied data goes through
+        the constructor instead."""
         self = object.__new__(cls)
-        frozen = tuple(map(tuple, rows))
+        frozen = tuple(rows)
         object.__setattr__(self, "x_order", len(frozen) - 1)
         object.__setattr__(self, "q_order", len(frozen[0]) - 1)
         object.__setattr__(self, "_rows", frozen)
@@ -161,18 +163,14 @@ class BiSeries:
 
     def __add__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
-        return BiSeries._of(
-            [c1 + c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)
-        )
+        return BiSeries._of(tuple(map(add, r1, r2)) for r1, r2 in zip(self._rows, other._rows))
 
     def __sub__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
-        return BiSeries._of(
-            [c1 - c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)
-        )
+        return BiSeries._of(tuple(map(sub, r1, r2)) for r1, r2 in zip(self._rows, other._rows))
 
     def __neg__(self) -> BiSeries:
-        return BiSeries._of([-c for c in row] for row in self._rows)
+        return BiSeries._of(tuple(map(neg, row)) for row in self._rows)
 
     def __mul__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
@@ -189,7 +187,7 @@ class BiSeries:
                         c2 = row2[b2]
                         if c2:
                             target[b1 + b2] += c1 * c2
-        return BiSeries._of(rows)
+        return BiSeries._of(map(tuple, rows))
 
     def qshift(self, m: int) -> BiSeries:
         """Substitute x -> x q^m: the term x^a q^b moves to x^a q^(b + m a).
@@ -199,7 +197,7 @@ class BiSeries:
         """
         if m < 0:
             raise ValueError("negative q-shift is not supported")
-        return BiSeries._of(shift_row(row, m * a) for a, row in enumerate(self._rows))
+        return BiSeries._of(tuple(shift_row(row, m * a)) for a, row in enumerate(self._rows))
 
     def mul_monomial(self, a0: int, b0: int) -> BiSeries:
         """Multiply by x^a0 q^b0, discarding terms leaving the window."""
@@ -208,7 +206,7 @@ class BiSeries:
         a0 = min(a0, self.x_order + 1)
         kept = self._rows[: self.x_order + 1 - a0]
         blank = (0,) * (self.q_order + 1)
-        return BiSeries._of([blank] * a0 + [shift_row(row, b0) for row in kept])
+        return BiSeries._of([blank] * a0 + [tuple(shift_row(row, b0)) for row in kept])
 
     def restrict(self, x_order: int, q_order: int) -> BiSeries:
         """Truncate to a smaller window."""
@@ -274,7 +272,7 @@ class BiSeries:
                 raise ValueError(f"term ({a},{b}) has coefficient zero")
             rows[a][b] = c
             last = (a, b)
-        return cls._of(rows)
+        return cls._of(map(tuple, rows))
 
 
 # -- constructors -------------------------------------------------------------
@@ -339,4 +337,4 @@ def specialize_x(series: BiSeries, mode: str) -> tuple[BiSeries, int]:
                 dropped += 1
     else:
         raise ValueError(f"unknown specialization mode {mode!r}; use 'x=1' or 'x=q'")
-    return BiSeries._of([out]), dropped
+    return BiSeries._of([tuple(out)]), dropped

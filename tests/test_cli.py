@@ -108,6 +108,14 @@ def test_solve_json_within_a_memory_cap():
     assert obj["k"] == 1 and len(obj["F"]) == 2
 
 
+def test_tall_solve_within_a_memory_cap():
+    # one coefficient per member: the members share their one row
+    code, out, err, _ = run_limited("solve", "--k", "300000", "--xmax", "0", "--qmax", "0",
+                                    "--format", "tsv", memory_mb=100)
+    assert code == 0, err
+    assert len(out.splitlines()) == 300_002
+
+
 def test_no_command_and_unknown_command(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
@@ -437,6 +445,11 @@ PINNED_STDOUT = [
      "0f79785cc9262def6319a96db24e865be6ec304d867ee0758c354a0370e58bde"),
     (("solve", "--k", "1", "--xmax", "0", "--qmax", "0", "--format", "json"), 0,
      "476af4ff9833a99152eb3a6b35bd4b44ea601da97f66c127411dac2da91e4d22"),
+    # levels above the x-window, where members i > m share row m
+    (("solve", "--k", "6", "--xmax", "4", "--qmax", "30", "--format", "json"), 0,
+     "13d74a608aae4ff83ce10e3c84e809df53db6dcf43839cbafdcef4051bfb7f3b"),
+    (("solve", "--k", "9", "--xmax", "12", "--qmax", "60", "--format", "tsv"), 0,
+     "ec7fcf8ed0c88d637aaf59f32629fc74b4aa0450050fe7df0bb4de5ac45fe21d"),
     (("verify-gordon", "--l", "3", "--t", "2", "--qmax", "30"), 0,
      "29140ef5d75174bfd636a9095f2c0d6cd7206ce770dbb5c512ac922eba5846b8"),
     (("verify-gordon", "--l", "3", "--t", "1", "--qmax", "50"), 0,

@@ -170,8 +170,10 @@ def full_span_dimension(k, e, m, w):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ideal_span_matches_full_span_rank(k):
+    # the full span without the y_1 power generator (e=None) must still
+    # give the table of the top exponent k+1
     for e in [*range(1, k + 2), None]:
-        table = hilbert_table(k, e, 5, 12)
+        table = hilbert_table(k, e or k + 1, 5, 12)
         for m in range(6):
             for w in range(13):
                 want = len(partitions_exact(w, m)) - full_span_dimension(k, e, m, w)
@@ -195,6 +197,8 @@ def test_hilbert_table_validation():
         hilbert_table(1, 0, 2, 6)
     with pytest.raises(ValueError):
         hilbert_table(1, 1, -1, 6)
+    with pytest.raises(ValueError):
+        hilbert_table(1, None, 2, 6)
 
 
 def test_hilbert_table_level_one_frozen():
@@ -218,8 +222,10 @@ def test_y_power_redundant_at_top_exponent():
     # omitting y_1^(k+1) changes nothing: it already appears among the r's
     for k in (1, 2):
         with_power = hilbert_table(k, k + 1, 3, 8)
-        without = hilbert_table(k, None, 3, 8)
-        assert with_power.entries == without.entries
+        for m in range(4):
+            for w in range(9):
+                without = len(partitions_exact(w, m)) - full_span_dimension(k, None, m, w)
+                assert with_power.dim(m, w) == without, (m, w)
 
 
 def test_quotient_monotone_in_exponent():

@@ -10,7 +10,6 @@ from qgordon import (
     BiSeries,
     RecursionFamily,
     andrews_gordon_multisum,
-    check_k2_example,
     check_recursions,
     check_rr_recursion,
     from_terms,
@@ -81,7 +80,7 @@ def test_rr_recursion_on_multisum():
 
 def test_k2_example():
     fam = solve(2, 6, 15)
-    residuals = check_k2_example(fam)
+    residuals = check_recursions(fam)
     assert len(residuals) == 3
     assert all(r.is_zero() for r in residuals)
 
@@ -94,18 +93,14 @@ def test_k2_example_soundness():
         q_order=10,
         members=(fam.members[0], fam.members[1], fam.members[1]),
     )
-    residuals = check_k2_example(swapped)
+    # F_2 - (xq)^2 F_0(xq,q) - F_1 with F_1 in place of F_2
+    residuals = check_recursions(swapped)
     assert not residuals[1].is_zero()
 
 
 def test_k2_example_trivial_x_window():
     fam = solve(2, 0, 12)
-    assert all(r.is_zero() for r in check_k2_example(fam))
-
-
-def test_k2_example_requires_level_two():
-    with pytest.raises(ValueError):
-        check_k2_example(solve(1, 2, 2))
+    assert all(r.is_zero() for r in check_recursions(fam))
 
 
 def test_weight_data_values():

@@ -205,6 +205,11 @@ def test_public_constructor_rejects_non_int_coefficients():
         BiSeries(0, 1, [[1, 0.5]])
     with pytest.raises(TypeError):
         from_terms(0, 2, {(0, 0): 1.5})
+    # bool is an int subclass, but True would serialise as "True"
+    with pytest.raises(TypeError):
+        BiSeries(0, 1, [[True, 0]])
+    with pytest.raises(TypeError):
+        from_terms(0, 2, {(0, 1): False})
 
 
 def test_equality_and_hash():
