@@ -143,7 +143,7 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
         top = [sum(column) for column in zip(*bumps)]
         div_one_minus_q_power(top, m)
         a[k].append(tuple(top))
-        row = tuple(shift_row(top, m))
+        row = shift_row(top, m)
         a[0].append(row)
         for i in range(1, k):
             # past i = m there is no x-degree m - i, so member i keeps the row

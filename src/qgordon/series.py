@@ -31,12 +31,12 @@ MAX_CELLS = 10**7
 # an independent check on them.
 
 
-def shift_row(row: Sequence[int], m: int) -> list[int]:
-    """A new row holding row * q^m, truncated at the length of row."""
+def shift_row(row: Sequence[int], m: int) -> tuple[int, ...]:
+    """row * q^m as a tuple, truncated at the length of row."""
     size = len(row)
     if m >= size:
-        return [0] * size
-    return [0] * m + list(row[: size - m])
+        return (0,) * size
+    return (0,) * m + tuple(row[: size - m])
 
 
 def mul_one_minus_q_power(row: list[int], i: int) -> None:
@@ -197,7 +197,7 @@ class BiSeries:
         """
         if m < 0:
             raise ValueError("negative q-shift is not supported")
-        return BiSeries._of(tuple(shift_row(row, m * a)) for a, row in enumerate(self._rows))
+        return BiSeries._of(shift_row(row, m * a) for a, row in enumerate(self._rows))
 
     def mul_monomial(self, a0: int, b0: int) -> BiSeries:
         """Multiply by x^a0 q^b0, discarding terms leaving the window."""
@@ -206,7 +206,7 @@ class BiSeries:
         a0 = min(a0, self.x_order + 1)
         kept = self._rows[: self.x_order + 1 - a0]
         blank = (0,) * (self.q_order + 1)
-        return BiSeries._of([blank] * a0 + [tuple(shift_row(row, b0)) for row in kept])
+        return BiSeries._of([blank] * a0 + [shift_row(row, b0) for row in kept])
 
     def restrict(self, x_order: int, q_order: int) -> BiSeries:
         """Truncate to a smaller window."""
