@@ -146,7 +146,7 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
         row = shift_row(top, m)
         a[0].append(row)
         for i in range(1, k):
-            # past i = m there is no x-degree m - i, so member i keeps the row
+            # past i = m there is no x-degree m - i: member i shares i-1's row
             if i <= m:
                 row = tuple(map(add, row, bumps[i - 1]))
             a[i].append(row)
