@@ -31,7 +31,8 @@ print()
 mm, wm = 4, 10
 table = hilbert_table(k, e, mm, wm)
 basis = partitions_exact(4, 2)
-r4_row = [dict(r_polynomial(k, 4)).get(lam, 0) for lam in basis]
+r4 = dict(r_polynomial(k, 4))
+r4_row = {j: r4[lam] for j, lam in enumerate(basis) if lam in r4}
 print("One bidegree worked out, charge m=2 and weight w=4:")
 print("  monomial basis: y_3*y_1, y_2*y_2 (partitions of 4 into 2 parts)")
 print("  ideal piece spanned by r_4 = 2*y_3*y_1 + y_2*y_2, rank",

@@ -13,13 +13,16 @@ ideal attached to level k and y-power exponent e is generated by
 
 ``hilbert_table`` fills a whole (charge, weight) window in one pass. The
 multiples of y_1^e are the monomials with at least e indices equal to 1,
-so they are dropped from the basis (and as multipliers) instead of ranked;
-the products of the remaining monomials with the r_w are sparse integer
-rows over that basis, and each quotient dimension is |basis| - rank, with
-the rank taken exactly. Nothing here touches the recursion system or the
-multisum: quotient dimensions come out of monomial counts and integer row
-reduction alone, which is what makes the resulting tables usable as an
-oracle against the other two computation routes.
+so they are left out of the basis (and as multipliers) instead of ranked.
+``basis_by_ones`` builds each cell's basis directly in order of its count
+of ones, fewest first, so the basis of every smaller exponent is a prefix
+of it. The products of the remaining monomials with the r_w are sparse
+{column: coefficient} rows over that basis, and each quotient dimension is
+|basis| - rank, with the rank taken exactly by ``integer_matrix_rank``.
+Nothing here touches the recursion system or the multisum: quotient
+dimensions come out of monomial counts and integer row reduction alone,
+which is what makes the resulting tables usable as an oracle against the
+other two computation routes.
 """
 
 from __future__ import annotations
@@ -79,25 +82,48 @@ def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def integer_matrix_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix: the pivots of a sparse echelon basis.
+def basis_by_ones(w: int, m: int, e: int) -> list[tuple[int, ...]]:
+    """Partitions of w into exactly m parts with fewer than e ones, fewest
+    ones first.
 
-    Each row, as {column: nonzero coefficient}, becomes the pivot of its
-    leading column or is cross-multiplied against that pivot, with the gcd
+    Those with j ones are the partitions of w - m into m - j parts, each part
+    raised by 1, followed by j ones; j runs 0, 1, ..., e - 1, so for every
+    e' <= e the partitions with fewer than e' ones are a prefix of the list.
+    """
+    return [tuple(p + 1 for p in lam) + (1,) * j
+            for j in range(min(e, m + 1))
+            for lam in partitions_exact(w - m, m - j)]
+
+
+def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of an integer matrix given as sparse rows {column: coefficient}:
+    the pivots of a sparse echelon basis.
+
+    Each row is copied once, zero coefficients dropped, and then becomes the
+    pivot of its leading column (divided by its content, leading coefficient
+    positive) or is cross-multiplied against that pivot, with the gcd
     divided out, until it does or vanishes; rows itself is left unchanged.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        row = {c: v for c, v in enumerate(dense) if v}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
+                g = math.gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
                 pivots[lead] = row
                 break
-            g = math.gcd(pivot[lead], row[lead])
-            alpha, beta = pivot[lead] // g, row[lead] // g
-            row = {c: alpha * v for c, v in row.items()}
+            alpha, beta = pivot[lead], row[lead]
+            if alpha != 1:
+                g = math.gcd(alpha, beta)
+                alpha, beta = alpha // g, beta // g
+                if alpha != 1:
+                    row = {c: alpha * v for c, v in row.items()}
             for c, v in pivot.items():
                 v = row.get(c, 0) - beta * v
                 if v:
@@ -143,10 +169,12 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
 
     e is the exponent of the y_1 power generator (for the top member e = k+1
     it is redundant: the weight-(k+1) r-generator is exactly y_1^(k+1)).
-    Each cell's basis is the partitions with fewer than e ones, and its
-    dimension is the size of that basis less the exact rank of the products
-    mu * r over generators r and monomials mu of complementary bidegree,
-    written in that basis.
+    Each cell's basis is the partitions with fewer than e ones, fewest ones
+    first, and its dimension is the size of that basis less the exact rank
+    of the products mu * r over generators r and monomials mu of
+    complementary bidegree, written as sparse rows in that basis. The rows
+    are ranked in the order they are made, generator weight ascending and
+    then mu in basis order.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -154,25 +182,25 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
         raise ValueError("need 1 <= e <= k+1")
     if m_max < 0 or w_max < 0:
         raise ValueError("window bounds must be nonnegative")
-    bases = [[[lam for lam in partitions_exact(w, m) if lam.count(1) < e]
-              for w in range(w_max + 1)] for m in range(m_max + 1)]
+    bases = [[basis_by_ones(w, m, e) for w in range(w_max + 1)]
+             for m in range(m_max + 1)]
     r_polys = {w: r_polynomial(k, w) for w in range(k + 1, w_max + 1)}
     entries = []
     for m in range(m_max + 1):
         row_m = []
         for w in range(w_max + 1):
             index = {lam: j for j, lam in enumerate(bases[m][w])}
-            rows: list[list[int]] = []
+            rows: list[dict[int, int]] = []
             # below charge k+1 no generator fits, and bases[m - k - 1] would
             # wrap around; a mu with e or more ones has no product in a basis
             for w_gen in range(k + 1, w + 1) if m > k else ():
                 for mu in bases[m - k - 1][w - w_gen]:
-                    row = [0] * len(index)
+                    row: dict[int, int] = {}
                     for mono, mult in r_polys[w_gen]:
                         j = index.get(tuple(sorted(mu + mono, reverse=True)))
                         if j is not None:
-                            row[j] += mult
-                    if any(row):
+                            row[j] = row.get(j, 0) + mult
+                    if row:
                         rows.append(row)
             row_m.append(len(index) - integer_matrix_rank(rows))
         entries.append(tuple(row_m))

@@ -13,6 +13,7 @@ from qgordon import (
     r_polynomial,
     solve,
 )
+from qgordon.ideal_quotient import basis_by_ones
 
 # multisum at window (4, 10) for level 1, vacuum member; computed once by an
 # independent brute-force tuple enumeration and frozen here
@@ -44,6 +45,11 @@ def rational_rank(rows):
                 m[r] = [c - factor * p for c, p in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def sparse(rows):
+    """Dense integer rows as the {column: coefficient} rows the rank takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
 def test_partitions_exact():
@@ -88,11 +94,38 @@ def test_top_weight_generator_is_pure_power():
 
 def test_integer_matrix_rank_frozen():
     assert integer_matrix_rank([]) == 0
-    assert integer_matrix_rank([[0, 0], [0, 0]]) == 0
-    assert integer_matrix_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-    assert integer_matrix_rank([[2, 4], [1, 2]]) == 1
-    assert integer_matrix_rank([[2, 3], [3, 5]]) == 2
-    assert integer_matrix_rank([[0, 2, 1], [0, 4, 2], [1, 0, 7]]) == 2
+    for dense, rank in [
+        ([[0, 0], [0, 0]], 0),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+        ([[2, 4], [1, 2]], 1),
+        ([[2, 3], [3, 5]], 2),
+        ([[0, 2, 1], [0, 4, 2], [1, 0, 7]], 2),
+    ]:
+        assert integer_matrix_rank(sparse(dense)) == rank == rational_rank(dense)
+
+
+def test_integer_matrix_rank_pivot_cases():
+    cases = [
+        # negative leading coefficients, in the pivot and in the reduced row
+        [{0: -2, 1: 3}, {0: 4, 1: -6}],
+        [{0: -3, 2: 1}, {0: -1, 1: 5}, {1: -2, 2: 7}],
+        # a pivot with lead 1 reused, the row reduced without scaling
+        [{0: 1, 1: 2}, {0: 3, 1: 6}],
+        [{0: 1, 1: 2}, {0: 3, 1: 5}, {0: -7, 1: 1, 2: 4}],
+        # a primitive pivot with lead != 1 reused
+        [{0: 2, 1: 3}, {0: 4, 1: 6}, {0: 6, 1: 1}],
+        [{1: 6, 2: 4, 3: 10}, {1: 9, 2: 6, 3: 15}, {1: 4, 3: 1}],
+        # empty rows and explicit zero coefficients
+        [{}],
+        [{}, {1: 5}, {}],
+        [{0: 0, 1: 3}, {1: -6}],
+    ]
+    for rows in cases:
+        cols = 1 + max((c for row in rows for c in row), default=-1)
+        dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
+        before = [dict(row) for row in rows]
+        assert integer_matrix_rank(rows) == rational_rank(dense), rows
+        assert rows == before
 
 
 def _sparse_row(rng, cols):
@@ -137,9 +170,24 @@ def _random_matrices(rng):
 def test_integer_matrix_rank_randomized():
     rng = random.Random(1729)
     for m in _random_matrices(rng):
-        before = [list(row) for row in m]
-        assert integer_matrix_rank(m) == rational_rank(m), m
-        assert m == before
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        assert integer_matrix_rank(rows) == rational_rank(m), m
+        assert rows == before
+
+
+def test_basis_by_ones():
+    # the partitions with fewer than e ones, each once, and the count of ones
+    # never decreasing along the list, so every smaller exponent's basis is
+    # a prefix
+    for m in range(9):
+        for w in range(21):
+            for e in range(1, 6):
+                basis = basis_by_ones(w, m, e)
+                want = [lam for lam in partitions_exact(w, m) if lam.count(1) < e]
+                assert sorted(basis) == sorted(want), (w, m, e)
+                ones = [lam.count(1) for lam in basis]
+                assert ones == sorted(ones), (w, m, e)
 
 
 def test_ideal_span_examples():
