@@ -6,6 +6,11 @@ standard error. Exit codes: 0 all comparisons matched, 1 a well-formed run
 found a mismatch, 2 usage error or standard output closed by its reader
 before the data was written. Identical invocations produce byte-identical
 output; there are no config files or environment knobs.
+
+Each integer option's domain is its argparse type, so a value outside it
+fails while parsing, with argparse's usage and error lines on standard
+error. The subcommands check only the rules between options (t <= l,
+e <= k+1 and the MAX_CELLS cap), each with one error line.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import os
 import stat
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ideal_quotient import hilbert_table
 from .qcombinat import (
@@ -77,26 +82,10 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _oracle_window_problem(mmax: int, wmax: int) -> str | None:
-    """Why (mmax, wmax) is no window for the ideal-quotient route, or None."""
-    if mmax < 0 or wmax < 0:
-        return "--mmax and --wmax must be >= 0"
-    if mmax > ORACLE_MAX_M or wmax > ORACLE_MAX_W:
-        return (
-            f"window too large for the ideal-quotient route "
-            f"(soft limit m<={ORACLE_MAX_M}, w<={ORACLE_MAX_W})"
-        )
-    return None
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        return _usage("--k must be >= 1")
-    if args.xmax < 0 or args.qmax < 0:
-        return _usage("--xmax and --qmax must be >= 0")
     if (args.k + 1) * (args.xmax + 1) * (args.qmax + 1) > MAX_CELLS:
         return _usage(f"window has more than MAX_CELLS={MAX_CELLS} coefficients")
     fam = solve(args.k, args.xmax, args.qmax)
@@ -111,16 +100,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_gordon(args: argparse.Namespace) -> int:
-    if args.l < 2:
-        return _usage("--l must be >= 2")
-    if not 1 <= args.t <= args.l:
-        return _usage("--t must satisfy 1 <= t <= l")
-    if args.qmax < 0:
-        return _usage("--qmax must be >= 0")
-    if args.xmax < 0:
-        return _usage("--xmax must be >= 0")
-    if args.qmax > VERIFY_MAX_Q:
-        return _usage(f"--qmax must be <= VERIFY_MAX_Q={VERIFY_MAX_Q}")
+    if args.t > args.l:
+        return _usage("--t must satisfy t <= l")
     cond = GordonCondition(args.l, args.t)
     k, i = cond.level, args.t - 1
     qmax = args.qmax
@@ -152,13 +133,8 @@ def cmd_verify_gordon(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        return _usage("--k must be >= 1")
-    if not 1 <= args.e <= args.k + 1:
-        return _usage("--e must satisfy 1 <= e <= k+1")
-    problem = _oracle_window_problem(args.mmax, args.wmax)
-    if problem:
-        return _usage(problem)
+    if args.e > args.k + 1:
+        return _usage("--e must satisfy e <= k+1")
     print(
         f"building ideal-quotient table k={args.k} e={args.e} "
         f"(m<={args.mmax}, w<={args.wmax})",
@@ -173,11 +149,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        return _usage("--k must be >= 1")
-    problem = _oracle_window_problem(args.mmax, args.wmax)
-    if problem:
-        return _usage(problem)
     if (args.k + 1) * (args.mmax + 1) * (args.wmax + 1) > MAX_CELLS:
         return _usage(f"window has more than MAX_CELLS={MAX_CELLS} coefficients")
     mmax, wmax = args.mmax, args.wmax
@@ -234,7 +205,25 @@ def cmd_check_recursions(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _int_in(low: int, high: int | None = None, why: str = "") -> Callable[[str], int]:
+    """An argparse type: int(text), which must lie in low..high (no upper
+    bound if high is None); a value outside is a usage error naming the range."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            domain = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {domain}{why}, not {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    positive, nonnegative = _int_in(1), _int_in(0)
+    soft = " (soft limit of the ideal-quotient route)"
+    charge, weight = _int_in(0, ORACLE_MAX_M, soft), _int_in(0, ORACLE_MAX_W, soft)
     parser = argparse.ArgumentParser(
         prog="qgordon",
         description="Exact q-series identity verification: recursion solver, "
@@ -243,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the level-k recursion system")
-    p.add_argument("--k", type=int, required=True, help="level, k >= 1")
-    p.add_argument("--xmax", type=int, required=True, help="x truncation order")
-    p.add_argument("--qmax", type=int, required=True, help="q truncation order")
+    p.add_argument("--k", type=positive, required=True, help="level, k >= 1")
+    p.add_argument("--xmax", type=nonnegative, required=True, help="x truncation order")
+    p.add_argument("--qmax", type=nonnegative, required=True, help="q truncation order")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=cmd_solve)
 
@@ -253,24 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-gordon",
         help="compare partition counts, the congruence product, and the multisum",
     )
-    p.add_argument("--l", type=int, required=True, help="modulus parameter, l >= 2")
-    p.add_argument("--t", type=int, required=True, help="1 <= t <= l")
+    p.add_argument("--l", type=_int_in(2), required=True, help="modulus parameter, l >= 2")
+    p.add_argument("--t", type=positive, required=True, help="1 <= t <= l")
     p.add_argument(
-        "--qmax", type=int, required=True, help=f"compare up to q^qmax (<= {VERIFY_MAX_Q})"
+        "--qmax",
+        type=_int_in(0, VERIFY_MAX_Q, " (VERIFY_MAX_Q)"),
+        required=True,
+        help=f"compare up to q^qmax (<= {VERIFY_MAX_Q})",
     )
     p.add_argument(
         "--xmax",
-        type=int,
+        type=nonnegative,
         default=12,
         help="multisum x truncation order (default 12)",
     )
     p.set_defaults(func=cmd_verify_gordon)
 
     p = sub.add_parser("oracle", help="emit an ideal-quotient dimension table")
-    p.add_argument("--k", type=int, required=True, help="level, k >= 1")
-    p.add_argument("--e", type=int, required=True, help="y-power exponent, 1..k+1")
-    p.add_argument("--mmax", type=int, required=True, help=f"charge bound (<= {ORACLE_MAX_M})")
-    p.add_argument("--wmax", type=int, required=True, help=f"weight bound (<= {ORACLE_MAX_W})")
+    p.add_argument("--k", type=positive, required=True, help="level, k >= 1")
+    p.add_argument("--e", type=positive, required=True, help="y-power exponent, 1..k+1")
+    p.add_argument("--mmax", type=charge, required=True, help=f"charge bound (<= {ORACLE_MAX_M})")
+    p.add_argument("--wmax", type=weight, required=True, help=f"weight bound (<= {ORACLE_MAX_W})")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_oracle)
 
@@ -278,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         "crosscheck",
         help="pairwise-compare solver, multisum, and ideal-quotient tables",
     )
-    p.add_argument("--k", type=int, required=True, help="level, k >= 1")
-    p.add_argument("--mmax", type=int, required=True, help=f"charge bound (<= {ORACLE_MAX_M})")
-    p.add_argument("--wmax", type=int, required=True, help=f"weight bound (<= {ORACLE_MAX_W})")
+    p.add_argument("--k", type=positive, required=True, help="level, k >= 1")
+    p.add_argument("--mmax", type=charge, required=True, help=f"charge bound (<= {ORACLE_MAX_M})")
+    p.add_argument("--wmax", type=weight, required=True, help=f"weight bound (<= {ORACLE_MAX_W})")
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser(

@@ -240,7 +240,8 @@ class BiSeries:
     @classmethod
     def from_json_dict(cls, obj: dict) -> BiSeries:
         """Inverse of to_json_dict. Orders and indices must be JSON integers,
-        and terms nonzero, in the window, and strictly increasing in (a, b)."""
+        coefficients strings equal to str() of their int, and terms nonzero,
+        in the window, and strictly increasing in (a, b)."""
         try:
             R, N, raw_terms = obj["x_order"], obj["q_order"], obj["terms"]
         except (KeyError, TypeError) as exc:
@@ -255,10 +256,14 @@ class BiSeries:
         last = (-1, -1)
         for entry in raw_terms:
             try:
-                a, b, c = entry
-                c = int(str(c), 10)
+                a, b, text = entry
+                c = int(text, 10)  # a TypeError unless text is a string
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"malformed term {entry!r}: {exc}") from None
+            if str(c) != text:
+                raise ValueError(
+                    f"malformed term {entry!r}: coefficient is no canonical decimal string"
+                )
             if type(a) is not int or type(b) is not int:
                 raise ValueError(f"malformed term {entry!r}: indices must be integers")
             if not (0 <= a <= R and 0 <= b <= N):

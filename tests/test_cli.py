@@ -14,6 +14,7 @@ import pytest
 import qgordon
 from qgordon import cli
 from qgordon.cli import ORACLE_MAX_M, ORACLE_MAX_W, VERIFY_MAX_Q, main
+from qgordon.series import MAX_CELLS
 
 
 def run(capsys, *argv):
@@ -355,6 +356,10 @@ def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
         lambda obj: obj["F"][1].update(q_order=3),  # member off the family window
         lambda obj: obj.update(F={}),
         lambda obj: obj["F"].__setitem__(1, [0, 0, "1"]),
+        # coefficients int() reads that are no canonical decimal string;
+        # "\uff11" is a fullwidth digit one
+        *(lambda obj, c=c: obj["F"][0]["terms"][1].__setitem__(2, c)
+          for c in ["+1", "01", "1_0", " 7 ", "\uff11", 1]),
     ]
     for n, edit in enumerate(edits):
         obj = json.loads(out)
@@ -499,3 +504,59 @@ def test_data_only_on_stdout(capsys):
     assert code == 0
     assert out.startswith("m\tw\tdim")
     assert "building" in err
+
+
+# each integer option at its bounds and one past them, on a small valid base
+# command; --t and --e are bounded by --l and --k + 1, and solve and
+# crosscheck by MAX_CELLS
+BOUNDS = {
+    ("solve", "--k", "1", "--xmax", "2", "--qmax", "4"): [
+        ("--k", 1, 0), ("--k", 0, 2),
+        ("--xmax", 0, 0), ("--xmax", -1, 2),
+        ("--qmax", 0, 0), ("--qmax", -1, 2),
+    ],
+    ("solve", "--k", "1", "--xmax", "0", "--qmax", "0"): [("--k", MAX_CELLS, 2)],
+    ("verify-gordon", "--l", "3", "--t", "2", "--qmax", "10", "--xmax", "12"): [
+        ("--l", 2, 0), ("--l", 1, 2),
+        ("--t", 1, 0), ("--t", 0, 2), ("--t", 3, 0), ("--t", 4, 2),
+        ("--qmax", 0, 0), ("--qmax", -1, 2),
+        ("--qmax", VERIFY_MAX_Q, 0), ("--qmax", VERIFY_MAX_Q + 1, 2),
+        ("--xmax", 0, 0), ("--xmax", -1, 2),
+    ],
+    ("oracle", "--k", "2", "--e", "1", "--mmax", "2", "--wmax", "5"): [
+        ("--k", 1, 0), ("--k", 0, 2),
+        ("--e", 1, 0), ("--e", 0, 2), ("--e", 3, 0), ("--e", 4, 2),
+        ("--mmax", 0, 0), ("--mmax", -1, 2),
+        ("--mmax", ORACLE_MAX_M, 0), ("--mmax", ORACLE_MAX_M + 1, 2),
+        ("--wmax", 0, 0), ("--wmax", -1, 2),
+        ("--wmax", ORACLE_MAX_W, 0), ("--wmax", ORACLE_MAX_W + 1, 2),
+    ],
+    ("crosscheck", "--k", "2", "--mmax", "2", "--wmax", "5"): [
+        ("--k", 1, 0), ("--k", 0, 2),
+        ("--mmax", 0, 0), ("--mmax", -1, 2),
+        ("--mmax", ORACLE_MAX_M, 0), ("--mmax", ORACLE_MAX_M + 1, 2),
+        ("--wmax", 0, 0), ("--wmax", -1, 2),
+        ("--wmax", ORACLE_MAX_W, 0), ("--wmax", ORACLE_MAX_W + 1, 2),
+    ],
+    ("crosscheck", "--k", "1", "--mmax", "0", "--wmax", "0"): [("--k", MAX_CELLS, 2)],
+}
+
+
+def _with(argv, option, value):
+    argv = list(argv)
+    argv[argv.index(option) + 1] = str(value)
+    return argv
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(_with(base, option, value), want, id=" ".join(_with(base, option, value)))
+    for base, edits in BOUNDS.items()
+    for option, value, want in edits
+])
+def test_option_bounds(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want, err
+    if code == 2:
+        assert out == "" and "error:" in err
+    else:
+        assert out
