@@ -15,7 +15,10 @@ substituting the second gives
 whose right side involves only x-degrees below m, so a_(k,m) follows by
 dividing by 1 - q^m in place; then
 a_(0,m) = q^m a_(k,m) and a_(i,m) = a_(i-1,m) + q^m a_(k-i,m-i) fill in the
-rest. Every step is exact in the truncated ring.
+rest. Every step is exact in the truncated ring. For m < i the last term has
+no x-degree m-i, so a_(i,m) = a_(i-1,m): on a window of x-degree R every
+member R < i < k equals F_R, and ``solve`` stores each such row once and
+hands back F_R's object for those members.
 
 ``check_recursions`` re-evaluates all k+1 residuals from scratch, so a
 solved family is always audited against the system itself rather than
@@ -29,7 +32,7 @@ from fractions import Fraction
 from operator import add
 from typing import TextIO
 
-from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row
+from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row, short_repr
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,8 @@ class RecursionFamily:
                 raise ValueError("need k >= 1 and orders >= 0")
             if (k + 1) * (R + 1) * (N + 1) > MAX_CELLS:
                 raise ValueError(
-                    f"{k + 1} members at ({R},{N}) exceed MAX_CELLS={MAX_CELLS} cells"
+                    f"{short_repr(k + 1)} members at ({short_repr(R)},{short_repr(N)}) "
+                    f"exceed MAX_CELLS={MAX_CELLS} cells"
                 )
             # every member must declare the family window before any is
             # loaded, so no member allocates more than its share of the cap
@@ -135,22 +139,22 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
     if x_order < 0 or q_order < 0:
         raise ValueError("orders must be nonnegative")
     R, N = x_order, q_order
-    # a[i][m]: q-coefficients of x^m in F_i, one tuple per row
+    # rows[m]: the x^m rows of F_0 ... F_min(m, k-1), of which member i < k
+    # reads rows[m][min(i, m)]; top_rows: the rows of F_k
     start = (1,) + (0,) * N
-    a = [[start] for _ in range(k + 1)]
+    rows, top_rows = [[start]], [start]
     for m in range(1, R + 1):
-        bumps = [shift_row(a[k - i][m - i], m) for i in range(1, min(k, m) + 1)]
+        bumps = [shift_row(rows[m - i][min(k - i, m - i)], m) for i in range(1, min(k, m) + 1)]
         top = [sum(column) for column in zip(*bumps)]
         div_one_minus_q_power(top, m)
-        a[k].append(tuple(top))
-        row = shift_row(top, m)
-        a[0].append(row)
-        for i in range(1, k):
-            # past i = m there is no x-degree m - i: member i shares i-1's row
-            if i <= m:
-                row = tuple(map(add, row, bumps[i - 1]))
-            a[i].append(row)
-    members = tuple(map(BiSeries._of, a))
+        top_rows.append(tuple(top))
+        row = [shift_row(top, m)]
+        for bump in bumps[: k - 1]:
+            row.append(tuple(map(add, row[-1], bump)))
+        rows.append(row)
+    lower = [BiSeries._of(rows[m][min(i, m)] for m in range(R + 1))
+             for i in range(min(k - 1, R) + 1)]
+    members = tuple(lower + [lower[-1]] * (k - len(lower)) + [BiSeries._of(top_rows)])
     return RecursionFamily(k=k, x_order=R, q_order=N, members=members)
 
 

@@ -12,6 +12,7 @@ Values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import reprlib
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +22,15 @@ from typing import Iterable, Iterator, Sequence
 # allocated from the declared orders, so the orders are checked against this
 # before anything is allocated.
 MAX_CELLS = 10**7
+
+
+def short_repr(value: object) -> str:
+    """repr(value) for an error message about input read from a file, which
+    may be arbitrarily long: reprlib elides long strings, numbers and lists,
+    and the result is cut to at most 60 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
 
 # -- truncated rows -------------------------------------------------------------
 #
@@ -249,7 +259,10 @@ class BiSeries:
         if type(R) is not int or type(N) is not int or R < 0 or N < 0:
             raise ValueError("malformed series object: orders must be integers >= 0")
         if (R + 1) * (N + 1) > MAX_CELLS:
-            raise ValueError(f"window ({R},{N}) has more than MAX_CELLS={MAX_CELLS} cells")
+            raise ValueError(
+                f"window ({short_repr(R)},{short_repr(N)}) has more than "
+                f"MAX_CELLS={MAX_CELLS} cells"
+            )
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
         rows = [[0] * (N + 1) for _ in range(R + 1)]
@@ -259,15 +272,18 @@ class BiSeries:
                 a, b, text = entry
                 c = int(text, 10)  # a TypeError unless text is a string
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"malformed term {entry!r}: {exc}") from None
+                raise ValueError(f"malformed term {short_repr(entry)}: {exc}") from None
             if str(c) != text:
                 raise ValueError(
-                    f"malformed term {entry!r}: coefficient is no canonical decimal string"
+                    f"malformed term {short_repr(entry)}: "
+                    "coefficient is no canonical decimal string"
                 )
             if type(a) is not int or type(b) is not int:
-                raise ValueError(f"malformed term {entry!r}: indices must be integers")
+                raise ValueError(f"malformed term {short_repr(entry)}: indices must be integers")
             if not (0 <= a <= R and 0 <= b <= N):
-                raise ValueError(f"term ({a},{b}) outside declared window ({R},{N})")
+                raise ValueError(
+                    f"term ({short_repr(a)},{short_repr(b)}) outside declared window ({R},{N})"
+                )
             if (a, b) <= last:
                 raise ValueError(
                     f"term ({a},{b}) does not follow ({last[0]},{last[1]}): "

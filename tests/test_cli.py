@@ -110,11 +110,12 @@ def test_solve_json_within_a_memory_cap():
 
 
 def test_tall_solve_within_a_memory_cap():
-    # one coefficient per member: the members share their one row
-    code, out, err, _ = run_limited("solve", "--k", "300000", "--xmax", "0", "--qmax", "0",
+    # on x-window 0, members 0 < i < k are member 0's object, so solve builds
+    # two series (F_0 and F_k) and a tuple of k + 1 references to them
+    code, out, err, _ = run_limited("solve", "--k", "1000000", "--xmax", "0", "--qmax", "0",
                                     "--format", "tsv", memory_mb=100)
     assert code == 0, err
-    assert len(out.splitlines()) == 300_002
+    assert len(out.splitlines()) == 1_000_002
 
 
 def test_no_command_and_unknown_command(capsys):
@@ -371,6 +372,26 @@ def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
         assert "malformed" in err, n
 
 
+# a 100,000-digit coefficient (its leading zero makes it no canonical string
+# on every Python) and a term with 100,000 extra elements
+@pytest.mark.parametrize(
+    "term",
+    [pytest.param([0, 0, "0" + "9" * 99_999], id="long-coefficient"),
+     pytest.param([0, 0, "1", *[0] * 100_000], id="long-term")],
+)
+def test_check_recursions_quotes_a_short_prefix_of_a_bad_term(tmp_path, capsys, term):
+    _, out, _ = run(capsys, "solve", "--k", "1", "--xmax", "2", "--qmax", "4",
+                    "--format", "json")
+    obj = json.loads(out)
+    obj["F"][0]["terms"][0] = term
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
+    assert (code, stdout) == (2, "")
+    assert "malformed" in err and len(err.splitlines()) == 1
+    assert len(err.encode()) < 1000
+
+
 def test_check_recursions_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "nested.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -455,6 +476,9 @@ PINNED_STDOUT = [
      "13d74a608aae4ff83ce10e3c84e809df53db6dcf43839cbafdcef4051bfb7f3b"),
     (("solve", "--k", "9", "--xmax", "12", "--qmax", "60", "--format", "tsv"), 0,
      "ec7fcf8ed0c88d637aaf59f32629fc74b4aa0450050fe7df0bb4de5ac45fe21d"),
+    # a level far above the x-window: members 3..2999 are member 2's object
+    (("solve", "--k", "3000", "--xmax", "2", "--qmax", "6", "--format", "json"), 0,
+     "bcdb90b949659a2ebe943d40a427b0b41eecd7ac4ca8d1a2ccf038a2c18016f9"),
     (("verify-gordon", "--l", "3", "--t", "2", "--qmax", "30"), 0,
      "29140ef5d75174bfd636a9095f2c0d6cd7206ce770dbb5c512ac922eba5846b8"),
     (("verify-gordon", "--l", "3", "--t", "1", "--qmax", "50"), 0,

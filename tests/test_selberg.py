@@ -137,6 +137,21 @@ def test_window_extension_consistency():
             assert f_large.restrict(4, 9) == f_small
 
 
+@pytest.mark.parametrize(
+    "k, R, N",
+    [(1, 0, 0), (1, 6, 9), (2, 1, 6), (3, 5, 9), (4, 2, 9), (6, 0, 5), (12, 4, 10)],
+)
+def test_members_past_the_x_window_are_member_R(k, R, N):
+    # a_(i,m) = a_(i-1,m) below x-degree i, so on an x-window R every member
+    # R < i < k equals F_R; solve hands back F_R's object for those and
+    # builds every other member itself (none is shared when k <= R + 1)
+    fam = solve(k, R, N)
+    shared = [i for i in range(k + 1) if R < i < k]
+    assert all(fam.members[i] is fam.members[R] for i in shared)
+    assert len({id(f) for f in fam.members}) == k + 1 - len(shared)
+    assert all(res.is_zero() for res in check_recursions(fam))
+
+
 def test_monotone_and_nonnegative():
     for k in (1, 2, 3, 4):
         fam = solve(k, 6, 14)
