@@ -6,15 +6,16 @@ number of partitions of n into parts not congruent to 0, +-t mod 2l+1.
 The Gordon side is counted by a transfer over part sizes in frequency
 form (f_1 <= t-1 and f_j + f_(j+1) <= l-1), the congruence side by a table
 over (weight left, smallest admissible part); neither uses a generating
-function. The last lines list the partitions behind one entry with the
-enumerator ``iter_gordon_partitions``.
+function. The last lines split one entry by number of parts with
+``count_gordon_partitions_refined``, the same transfer with the parts so
+far in its state.
 """
 
 from qgordon import (
     GordonCondition,
     count_congruence_partitions,
     count_gordon_partitions,
-    iter_gordon_partitions,
+    count_gordon_partitions_refined,
 )
 
 N_MAX = 24
@@ -30,6 +31,11 @@ for l in (2, 3, 4):
         print("   counts:", gordon)
 
 print()
-print("The partitions behind one entry: n=9, l=2, t=2 (difference >= 2, at most one 1):")
-for p in iter_gordon_partitions(GordonCondition(2, 2), 9):
-    print("   ", list(p))
+print("One entry by number of parts: n=9, l=2, t=2 (difference >= 2, at most one 1):")
+cond, n = GordonCondition(2, 2), 9
+by_parts = [count_gordon_partitions_refined(cond, n, m) for m in range(n + 1)]
+for m, count in enumerate(by_parts):
+    if count:
+        print(f"    m={m}: {count}")
+total = sum(by_parts)
+print(f"    sum {total} equals count_gordon_partitions: {total == count_gordon_partitions(cond, n)}")

@@ -32,7 +32,6 @@ from .qcombinat import (
     count_gordon_partitions_refined,
     gordon_product,
     inverse_pochhammer,
-    iter_gordon_partitions,
     min_gordon_weight,
     pochhammer,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "integer_matrix_rank",
     "inverse_pochhammer",
     "invert_one_minus_q_power",
-    "iter_gordon_partitions",
     "min_gordon_weight",
     "monomial",
     "one",

@@ -16,15 +16,14 @@ The counts use no generating function and no series arithmetic, so they
 stay an independent check on the product and the multisum. The Gordon
 count is a transfer over part sizes in frequency form, the congruence count
 a table over (weight left, smallest admissible part); both take polynomial
-time and neither recurses. ``iter_gordon_partitions`` still lists the
-partitions themselves, and the count refined by number of parts filters it.
+time and neither recurses. The count refined by number of parts runs the
+same transfer with the parts so far in its state, and lists nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 from .series import BiSeries, div_one_minus_q_power, mul_one_minus_q_power
 
@@ -123,6 +122,8 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
         raise ValueError("need level k >= 1")
     if not 0 <= i <= k:
         raise ValueError("need 0 <= i <= k")
+    if x_order < 0 or q_order < 0:
+        raise ValueError("need x_order >= 0 and q_order >= 0")
     R, N = x_order, q_order
     # a tuple in the window has at most min(R, N) nonzero entries, all in
     # front; its zero tail adds nothing to the exponent and (q)_0 = 1 to the
@@ -154,43 +155,10 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
             v += 1
 
     rec(k, 0, 0, 0, [1] + [0] * N)
-    return BiSeries(R, N, rows)
+    return BiSeries._of(map(tuple, rows))
 
 
 # -- partition counting ---------------------------------------------------------
-
-
-def iter_gordon_partitions(cond: GordonCondition, n: int) -> Iterator[tuple[int, ...]]:
-    """Enumerate partitions of n with difference >= 2 at distance l-1 and
-    at most t-1 ones, as weakly decreasing tuples of positive parts, in
-    decreasing lexicographic order.
-
-    Parts are chosen largest-first; the distance condition only ever
-    constrains the new part against the (l-1)-th most recent choice, so a
-    sliding window of the last l-1 parts suffices.
-    """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    k = cond.l - 1
-    max_ones = cond.t - 1
-
-    def rec(remaining: int, cap: int, window: tuple[int, ...], ones: int, acc: list[int]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        hi = min(remaining, cap)
-        if len(window) == k:
-            hi = min(hi, window[0] - 2)
-        for p in range(hi, 0, -1):
-            if p == 1 and ones >= max_ones:
-                break
-            acc.append(p)
-            yield from rec(
-                remaining - p, p, (window + (p,))[-k:], ones + (p == 1), acc
-            )
-            acc.pop()
-
-    yield from rec(n, n, (), 0, [])
 
 
 def count_gordon_partitions(cond: GordonCondition, n: int) -> int:
@@ -227,10 +195,37 @@ def count_gordon_partitions(cond: GordonCondition, n: int) -> int:
 
 
 def count_gordon_partitions_refined(cond: GordonCondition, n: int, m: int) -> int:
-    """As count_gordon_partitions, restricted to exactly m parts."""
+    """As count_gordon_partitions, restricted to exactly m parts.
+
+    The same transfer, with each weight row split into rows over the number
+    of parts so far, 0..m; states with more than m parts are dropped. Every
+    part weighs at least 1, so m > n counts nothing.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
     if m < 0:
         raise ValueError("need m >= 0")
-    return sum(1 for p in iter_gordon_partitions(cond, n) if len(p) == m)
+    if m > n:
+        return 0
+    k = cond.l - 1
+    zero = [0] * (n + 1)
+    # tables[f][c][w]: choices of f_1..f_j with f_j = f, c parts and weight w;
+    # before j = 1 there is only the empty choice
+    tables = [[[1] + zero[1:]] + [zero] * m]
+    for j in range(1, n + 1):
+        # at_most[g][c][w]: the same choices with f_(j-1) <= g
+        at_most = []
+        acc = [zero] * (m + 1)
+        for table in tables:
+            acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, table)]
+            at_most.append(acc)
+        top = len(tables) - 1
+        tables = [
+            [zero] * f
+            + [[0] * (f * j) + row[: n + 1 - f * j] for row in at_most[min(k - f, top)][: m + 1 - f]]
+            for f in range(min(cond.t - 1 if j == 1 else k, n // j, m) + 1)
+        ]
+    return sum(table[m][n] for table in tables)
 
 
 def count_congruence_partitions(cond: GordonCondition, n: int) -> int:

@@ -1,6 +1,8 @@
 """Pochhammer symbols, Gordon products, multisums, and partition counting."""
 
+from collections import Counter
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 import pytest
 
@@ -13,7 +15,6 @@ from qgordon import (
     from_terms,
     gordon_product,
     inverse_pochhammer,
-    iter_gordon_partitions,
     min_gordon_weight,
     one,
     pochhammer,
@@ -49,6 +50,39 @@ def enumerated_congruence_count(cond, n):
         return total
 
     return rec(n, 0)
+
+
+def iter_gordon_partitions(cond: GordonCondition, n: int) -> Iterator[tuple[int, ...]]:
+    """Enumerate partitions of n with difference >= 2 at distance l-1 and
+    at most t-1 ones, as weakly decreasing tuples of positive parts, in
+    decreasing lexicographic order.
+
+    Parts are chosen largest-first; the distance condition only ever
+    constrains the new part against the (l-1)-th most recent choice, so a
+    sliding window of the last l-1 parts suffices.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    k = cond.l - 1
+    max_ones = cond.t - 1
+
+    def rec(remaining: int, cap: int, window: tuple[int, ...], ones: int, acc: list[int]):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        hi = min(remaining, cap)
+        if len(window) == k:
+            hi = min(hi, window[0] - 2)
+        for p in range(hi, 0, -1):
+            if p == 1 and ones >= max_ones:
+                break
+            acc.append(p)
+            yield from rec(
+                remaining - p, p, (window + (p,))[-k:], ones + (p == 1), acc
+            )
+            acc.pop()
+
+    yield from rec(n, n, (), 0, [])
 
 
 def test_gordon_condition_validation():
@@ -158,6 +192,10 @@ def test_multisum_validation():
         andrews_gordon_multisum(0, 0, 2, 2)
     with pytest.raises(ValueError):
         andrews_gordon_multisum(2, 3, 2, 2)
+    with pytest.raises(ValueError):
+        andrews_gordon_multisum(2, 1, -1, 5)
+    with pytest.raises(ValueError):
+        andrews_gordon_multisum(2, 1, 3, -1)
 
 
 def test_multisum_nonnegative():
@@ -182,6 +220,14 @@ def test_count_gordon_refined():
     for n in range(12):
         total = sum(count_gordon_partitions_refined(cond, n, m) for m in range(n + 1))
         assert total == count_gordon_partitions(cond, n)
+    # every part weighs at least 1, so more parts than weight counts nothing,
+    # and a huge m is answered before any table is built
+    for n in range(6):
+        assert count_gordon_partitions_refined(cond, n, n + 1) == 0
+    assert count_gordon_partitions_refined(cond, 5, 10**30) == 0
+    for n, m in [(-1, 0), (-1, 3), (3, -1), (0, -1)]:
+        with pytest.raises(ValueError):
+            count_gordon_partitions_refined(cond, n, m)
 
 
 def test_count_congruence_examples():
@@ -208,6 +254,9 @@ def test_counts_against_unfiltered_brute_force():
             # same partitions, as weakly decreasing tuples, in the same order
             assert list(iter_gordon_partitions(cond, n)) == expected_gordon
             assert count_gordon_partitions(cond, n) == len(expected_gordon)
+            by_parts = Counter(map(len, expected_gordon))
+            for m in range(n + 2):
+                assert count_gordon_partitions_refined(cond, n, m) == by_parts[m]
             assert count_congruence_partitions(cond, n) == expected_cong
 
 
@@ -218,8 +267,13 @@ def test_counts_against_unfiltered_brute_force():
 def test_counts_against_the_enumerators(l, t, n_max):
     cond = GordonCondition(l, t)
     for n in range(n_max + 1):
-        assert count_gordon_partitions(cond, n) == len(list(iter_gordon_partitions(cond, n)))
+        partitions = list(iter_gordon_partitions(cond, n))
+        assert count_gordon_partitions(cond, n) == len(partitions)
         assert count_congruence_partitions(cond, n) == enumerated_congruence_count(cond, n)
+        if n <= 20:
+            by_parts = Counter(map(len, partitions))
+            for m in range(n + 2):
+                assert count_gordon_partitions_refined(cond, n, m) == by_parts[m]
 
 
 @pytest.mark.parametrize("l,t,n_max", [(3, 1, 200), (3, 2, 200), (3, 3, 200), (60, 60, 60)])
@@ -262,11 +316,13 @@ def test_gordon_identity_small_range():
                 )
 
 
-@pytest.mark.parametrize("l,t", [(2, 1), (2, 2), (3, 2), (4, 4)])
-def test_multisum_matches_refined_counts(l, t):
+@pytest.mark.parametrize("l,t,R,N", [
+    *[pytest.param(l, t, 5, 12, id=f"{l}-{t}") for l, t in [(2, 1), (2, 2), (3, 2), (4, 4)]],
+    *[pytest.param(l, t, 8, 40, id=f"{l}-{t}-8-40") for l, t in [(3, 2), (4, 4), (5, 1)]],
+])
+def test_multisum_matches_refined_counts(l, t, R, N):
     cond = GordonCondition(l, t)
     k, i = l - 1, t - 1
-    R, N = 5, 12
     s = andrews_gordon_multisum(k, i, R, N)
     for m in range(R + 1):
         for n in range(N + 1):
