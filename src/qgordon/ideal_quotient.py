@@ -14,7 +14,10 @@ ideal attached to level k and y-power exponent e is generated by
 ``hilbert_table`` fills a whole (charge, weight) window in one pass. The
 multiples of y_1^e are the monomials with at least e indices equal to 1,
 so they are left out of the basis (and as multipliers) instead of ranked.
-``basis_by_ones`` builds each cell's basis directly in order of its count
+A monomial is an integer key, the sum over its parts j of 2^(width * j)
+with width the bit length of the window's largest charge: no part occurs
+2^width times in the window, so the key of a product is the sum of the
+keys. ``cell_bases`` lists each cell's basis keys in order of their count
 of ones, fewest first, so the basis of every smaller exponent is a prefix
 of it. The products of the remaining monomials with the r_w are sparse
 {column: coefficient} rows over that basis, and each quotient dimension is
@@ -82,17 +85,41 @@ def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def basis_by_ones(w: int, m: int, e: int) -> list[tuple[int, ...]]:
-    """Partitions of w into exactly m parts with fewer than e ones, fewest
-    ones first.
+def monomial_key(lam: tuple[int, ...], width: int) -> int:
+    """The integer key of the monomial y_lam: the sum over its parts j of
+    2^(width * j).
 
-    Those with j ones are the partitions of w - m into m - j parts, each part
-    raised by 1, followed by j ones; j runs 0, 1, ..., e - 1, so for every
-    e' <= e the partitions with fewer than e' ones are a prefix of the list.
+    While no part occurs 2^width times or more, the key is a list of part
+    counts in base 2^width, so the key of a product is the sum of the keys.
     """
-    return [tuple(p + 1 for p in lam) + (1,) * j
-            for j in range(min(e, m + 1))
-            for lam in partitions_exact(w - m, m - j)]
+    return sum(1 << (width * j) for j in lam)
+
+
+def cell_bases(e: int, m_max: int, w_max: int, width: int) -> list[list[list[int]]]:
+    """Keys of the basis of every cell (m, w) of the window, fewest ones first.
+
+    The basis of a cell is the partitions of w into exactly m parts with
+    fewer than e ones. Those with j ones are the partitions of w - m into
+    m - j parts, each part raised by 1, followed by j ones; j runs 0, 1,
+    ..., e - 1, so for every e' <= e the partitions with fewer than e' ones
+    are a prefix of the list. Raising every part by 1 multiplies a key by
+    2^width and each one adds 2^width, so the key is (key(lam) + j) * 2^width.
+    Each list of partitions is built once, though several cells share it.
+    """
+    memo: dict[tuple[int, int], list[int]] = {}
+
+    def keys(n: int, parts: int) -> list[int]:
+        got = memo.get((n, parts))
+        if got is None:
+            got = memo[n, parts] = [monomial_key(lam, width)
+                                    for lam in partitions_exact(n, parts)]
+        return got
+
+    return [[[(key + j) << width
+              for j in range(min(e, m + 1))
+              for key in keys(w - m, m - j)]
+             for w in range(w_max + 1)]
+            for m in range(m_max + 1)]
 
 
 def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
@@ -101,10 +128,11 @@ def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
 
     Each row is copied once, zero coefficients dropped, and then becomes the
     pivot of its leading column (divided by its content, leading coefficient
-    positive) or is cross-multiplied against that pivot, with the gcd
-    divided out, until it does or vanishes; rows itself is left unchanged.
+    positive, kept as that coefficient and the items of the rest) or is
+    cross-multiplied against that pivot, with the gcd divided out, until it
+    does or vanishes; rows itself is left unchanged.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
     for row in rows:
         row = {c: v for c, v in row.items() if v}
         while row:
@@ -112,20 +140,21 @@ def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
             pivot = pivots.get(lead)
             if pivot is None:
                 g = math.gcd(*row.values())
-                if row[lead] < 0:
+                beta = row.pop(lead)
+                if beta < 0:
                     g = -g
-                if g != 1:
-                    row = {c: v // g for c, v in row.items()}
-                pivots[lead] = row
+                pivots[lead] = (beta // g, tuple((c, v // g) for c, v in row.items()))
                 break
-            alpha, beta = pivot[lead], row[lead]
+            alpha, tail = pivot
+            beta = row.pop(lead)
             if alpha != 1:
                 g = math.gcd(alpha, beta)
                 alpha, beta = alpha // g, beta // g
                 if alpha != 1:
                     row = {c: alpha * v for c, v in row.items()}
-            for c, v in pivot.items():
-                v = row.get(c, 0) - beta * v
+            get = row.get
+            for c, v in tail:
+                v = get(c, 0) - beta * v
                 if v:
                     row[c] = v
                 else:
@@ -182,26 +211,33 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
         raise ValueError("need 1 <= e <= k+1")
     if m_max < 0 or w_max < 0:
         raise ValueError("window bounds must be nonnegative")
-    bases = [[basis_by_ones(w, m, e) for w in range(w_max + 1)]
-             for m in range(m_max + 1)]
-    r_polys = {w: r_polynomial(k, w) for w in range(k + 1, w_max + 1)}
+    # a cell has at most m_max parts, so no part count reaches 2^width and
+    # the key of mu * mono is the key of mu plus the key of mono
+    width = max(m_max, 1).bit_length()
+    bases = cell_bases(e, m_max, w_max, width)
+    r_polys = {w: [(monomial_key(mono, width), mult) for mono, mult in r_polynomial(k, w)]
+               for w in range(k + 1, w_max + 1)}
     entries = []
     for m in range(m_max + 1):
         row_m = []
         for w in range(w_max + 1):
-            index = {lam: j for j, lam in enumerate(bases[m][w])}
+            basis = bases[m][w]
+            column = dict(zip(basis, range(len(basis)))).get
             rows: list[dict[int, int]] = []
             # below charge k+1 no generator fits, and bases[m - k - 1] would
-            # wrap around; a mu with e or more ones has no product in a basis
+            # wrap around; a mu with e or more ones has no product in a basis.
+            # The products of one mu with distinct monomials are distinct, so
+            # each column of a row is set once
             for w_gen in range(k + 1, w + 1) if m > k else ():
+                r_poly = r_polys[w_gen]
                 for mu in bases[m - k - 1][w - w_gen]:
                     row: dict[int, int] = {}
-                    for mono, mult in r_polys[w_gen]:
-                        j = index.get(tuple(sorted(mu + mono, reverse=True)))
+                    for mono, mult in r_poly:
+                        j = column(mu + mono)
                         if j is not None:
-                            row[j] = row.get(j, 0) + mult
+                            row[j] = mult
                     if row:
                         rows.append(row)
-            row_m.append(len(index) - integer_matrix_rank(rows))
+            row_m.append(len(basis) - integer_matrix_rank(rows))
         entries.append(tuple(row_m))
     return DimensionTable(k=k, e=e, entries=tuple(entries))

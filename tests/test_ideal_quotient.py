@@ -13,7 +13,8 @@ from qgordon import (
     r_polynomial,
     solve,
 )
-from qgordon.ideal_quotient import basis_by_ones
+from qgordon import ideal_quotient
+from qgordon.ideal_quotient import cell_bases, monomial_key
 
 # multisum at window (4, 10) for level 1, vacuum member; computed once by an
 # independent brute-force tuple enumeration and frozen here
@@ -45,6 +46,19 @@ def rational_rank(rows):
                 m[r] = [c - factor * p for c, p in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def basis_by_ones(w, m, e):
+    """Partitions of w into exactly m parts with fewer than e ones, fewest
+    ones first: the reference for the oracle's column order.
+
+    Those with j ones are the partitions of w - m into m - j parts, each part
+    raised by 1, followed by j ones; j runs 0, 1, ..., e - 1, so for every
+    e' <= e the partitions with fewer than e' ones are a prefix of the list.
+    """
+    return [tuple(p + 1 for p in lam) + (1,) * j
+            for j in range(min(e, m + 1))
+            for lam in partitions_exact(w - m, m - j)]
 
 
 def sparse(rows):
@@ -190,6 +204,20 @@ def test_basis_by_ones():
                 assert ones == sorted(ones), (w, m, e)
 
 
+def test_cell_bases_are_basis_by_ones_as_keys():
+    # the keyed columns of every cell are basis_by_ones' partitions, in the
+    # same order, and distinct monomials get distinct keys
+    m_max, w_max = 8, 20
+    width = max(m_max, 1).bit_length()
+    for e in range(1, 6):
+        bases = cell_bases(e, m_max, w_max, width)
+        for m in range(m_max + 1):
+            for w in range(w_max + 1):
+                want = [monomial_key(lam, width) for lam in basis_by_ones(w, m, e)]
+                assert bases[m][w] == want, (e, m, w)
+                assert len(set(want)) == len(want), (e, m, w)
+
+
 def test_ideal_span_examples():
     # the ideal's piece of bidegree (m, w) has dimension |partitions| - dim
     table = hilbert_table(1, 2, 2, 8)
@@ -226,6 +254,43 @@ def test_ideal_span_matches_full_span_rank(k):
             for w in range(13):
                 want = len(partitions_exact(w, m)) - full_span_dimension(k, e, m, w)
                 assert table.entries[m][w] == want, (e, m, w)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hilbert_table_at_key_width_edges(k):
+    # windows at and around each step of m_max's bit length (the key width),
+    # and with m_max <= k, where no generator row exists. Only the top charge
+    # m_max holds a part m_max times; it is checked against the full span
+    # rank, and every cell against a window whose key is wider than any of
+    # them needs
+    for e in range(1, k + 2):
+        wide = hilbert_table(k, e, 16, 18)
+        for m_max in (0, 1, 2, 3, 4, 7, 8):
+            w_max = 2 * m_max + 2
+            table = hilbert_table(k, e, m_max, w_max)
+            assert table.entries == tuple(row[:w_max + 1] for row in wide.entries[:m_max + 1])
+            for w in range(w_max + 1):
+                want = len(partitions_exact(w, m_max)) - full_span_dimension(k, e, m_max, w)
+                assert table.entries[m_max][w] == want, (m_max, e, w)
+
+
+def test_hilbert_table_ranks_each_cell_once_through_the_module_global(monkeypatch):
+    # the benchmark's tracer wraps ideal_quotient.integer_matrix_rank and
+    # reads its rows: one call per cell, with a list of dict rows
+    want = hilbert_table(2, 2, 4, 9)
+    calls = []
+    rank = ideal_quotient.integer_matrix_rank
+
+    def counting(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(ideal_quotient, "integer_matrix_rank", counting)
+    assert hilbert_table(2, 2, 4, 9) == want
+    assert len(calls) == 5 * 10
+    for rows in calls:
+        assert type(rows) is list
+        assert all(type(row) is dict for row in rows)
 
 
 def test_quotient_examples():
