@@ -7,15 +7,15 @@ The Gordon side is counted by a transfer over part sizes in frequency
 form (f_1 <= t-1 and f_j + f_(j+1) <= l-1), the congruence side by a table
 over (weight left, smallest admissible part); neither uses a generating
 function. The last lines split one entry by number of parts with
-``count_gordon_partitions_refined``, the same transfer with the parts so
-far in its state.
+``gordon_partition_table``, the same transfer with the parts so far in its
+state.
 """
 
 from qgordon import (
     GordonCondition,
     count_congruence_partitions,
     count_gordon_partitions,
-    count_gordon_partitions_refined,
+    gordon_partition_table,
 )
 
 N_MAX = 24
@@ -33,7 +33,8 @@ for l in (2, 3, 4):
 print()
 print("One entry by number of parts: n=9, l=2, t=2 (difference >= 2, at most one 1):")
 cond, n = GordonCondition(2, 2), 9
-by_parts = [count_gordon_partitions_refined(cond, n, m) for m in range(n + 1)]
+table = gordon_partition_table(cond, n, n)
+by_parts = [table.coeff(m, n) for m in range(n + 1)]
 for m, count in enumerate(by_parts):
     if count:
         print(f"    m={m}: {count}")

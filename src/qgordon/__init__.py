@@ -8,9 +8,14 @@ independent so they can verify one another coefficient-by-coefficient:
 * ``qcombinat.andrews_gordon_multisum`` evaluates the closed multisum form;
 * ``qcombinat.count_gordon_partitions`` / ``count_congruence_partitions``
   count, with no generating function, the partitions both sides of
-  Gordon's identities count;
+  Gordon's identities count, and ``gordon_partition_table`` counts the
+  Gordon side by number of parts, cell for cell against the multisum;
 * ``ideal_quotient.hilbert_table`` recomputes the dimensions from the
   generators of a polynomial ideal by exact linear algebra.
+
+The solver, the multisum and the product share one truncated-row kernel,
+``series.shift_row`` and ``series.div_one_minus_q_power``; the counts and
+the oracle use none of it, so they stay an independent check on it.
 
 Everything is integer-exact: comparisons are equalities, never tolerances.
 """
@@ -18,7 +23,6 @@ Everything is integer-exact: comparisons are equalities, never tolerances.
 from .series import (
     BiSeries,
     from_terms,
-    invert_one_minus_q_power,
     monomial,
     one,
     specialize_x,
@@ -29,11 +33,9 @@ from .qcombinat import (
     andrews_gordon_multisum,
     count_congruence_partitions,
     count_gordon_partitions,
-    count_gordon_partitions_refined,
+    gordon_partition_table,
     gordon_product,
-    inverse_pochhammer,
     min_gordon_weight,
-    pochhammer,
 )
 from .selberg import (
     RecursionFamily,
@@ -64,18 +66,15 @@ __all__ = [
     "check_rr_recursion",
     "count_congruence_partitions",
     "count_gordon_partitions",
-    "count_gordon_partitions_refined",
     "from_terms",
+    "gordon_partition_table",
     "gordon_product",
     "hilbert_table",
     "integer_matrix_rank",
-    "inverse_pochhammer",
-    "invert_one_minus_q_power",
     "min_gordon_weight",
     "monomial",
     "one",
     "partitions_exact",
-    "pochhammer",
     "r_polynomial",
     "solve",
     "specialize_x",

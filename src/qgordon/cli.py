@@ -20,7 +20,7 @@ import json
 import os
 import stat
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ideal_quotient import hilbert_table
 from .qcombinat import (
@@ -71,10 +71,15 @@ def _rows(series: BiSeries) -> list[tuple[int, ...]]:
     return [series.row(a) for a in range(series.x_order + 1)]
 
 
-def _report(results: list[tuple[bool, str]]) -> int:
-    for _, line in results:
+def _report(results: Iterable[tuple[bool, str]]) -> int:
+    """Print each comparison's line as it comes, so a long run holds none of
+    them; 0 if every comparison matched, else 1."""
+    code = 0
+    for ok, line in results:
         print(line)
-    return 0 if all(ok for ok, _ in results) else 1
+        if not ok:
+            code = 1
+    return code
 
 
 def _usage(message: str) -> int:
@@ -151,29 +156,32 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     if (args.k + 1) * (args.mmax + 1) * (args.wmax + 1) > MAX_CELLS:
         return _usage(f"window has more than MAX_CELLS={MAX_CELLS} coefficients")
-    mmax, wmax = args.mmax, args.wmax
+    return _report(_crosscheck_comparisons(args.k, args.mmax, args.wmax))
+
+
+def _crosscheck_comparisons(k: int, mmax: int, wmax: int) -> Iterator[tuple[bool, str]]:
+    """The three pairwise comparisons for each member, yielded one at a time:
+    a tall family has 3(k+1) of them."""
     window = f"x<={mmax},q<={wmax}"
-    fam = solve(args.k, mmax, wmax)
+    fam = solve(k, mmax, wmax)
     # a window cell holds at most min(mmax, wmax) ones and nonzero N_j, so
     # for i >= that bound neither the y_1^(i+1) generator nor the multisum's
     # linear term N_(i+1) + ... + N_k reaches it: those members share the
     # tables built for i = min(mmax, wmax)
     shared = min(mmax, wmax)
-    results = []
-    for e in range(1, args.k + 2):
+    for e in range(1, k + 2):
         i = e - 1
         print(f"crosscheck e={e} ({window})", file=sys.stderr)
         solver = _rows(fam.members[i])
         if i <= shared:
-            multisum = _rows(andrews_gordon_multisum(args.k, i, mmax, wmax))
-            table = hilbert_table(args.k, e, mmax, wmax).entries
+            multisum = _rows(andrews_gordon_multisum(k, i, mmax, wmax))
+            table = hilbert_table(k, e, mmax, wmax).entries
         a = f"solve[F{i}]"
         b = f"multisum[i={i}]"
         c = f"ideal-quotient[e={e}]"
-        results.append(compare(solver, multisum, a, b, window))
-        results.append(compare(solver, table, a, c, window))
-        results.append(compare(multisum, table, b, c, window))
-    return _report(results)
+        yield compare(solver, multisum, a, b, window)
+        yield compare(solver, table, a, c, window)
+        yield compare(multisum, table, b, c, window)
 
 
 def cmd_check_recursions(args: argparse.Namespace) -> int:

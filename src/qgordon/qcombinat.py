@@ -1,4 +1,4 @@
-"""q-Pochhammer symbols, Gordon partition counting, and the Andrews-Gordon multisum.
+"""Gordon partition counting, the congruence product, and the Andrews-Gordon multisum.
 
 The classical Rogers-Ramanujan-Gordon circle of identities relates three
 different objects, all computed here with exact integer arithmetic:
@@ -7,7 +7,8 @@ different objects, all computed here with exact integer arithmetic:
   mod 2l+1 (``gordon_product``, ``count_congruence_partitions``);
 * the combinatorial side: partitions obeying the "difference two at
   distance l-1" condition with a bounded number of ones
-  (``count_gordon_partitions`` and its refinement by number of parts);
+  (``count_gordon_partitions``, and ``gordon_partition_table`` by number
+  of parts);
 * the analytic side: the Andrews-Gordon multisum with quadratic exponent
   (``andrews_gordon_multisum``), a bivariate series whose x-power tracks
   the number of parts.
@@ -16,8 +17,8 @@ The counts use no generating function and no series arithmetic, so they
 stay an independent check on the product and the multisum. The Gordon
 count is a transfer over part sizes in frequency form, the congruence count
 a table over (weight left, smallest admissible part); both take polynomial
-time and neither recurses. The count refined by number of parts runs the
-same transfer with the parts so far in its state, and lists nothing.
+time and neither recurses. The table by number of parts runs the same
+transfer once with the parts so far in its state, and lists nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .series import BiSeries, div_one_minus_q_power, mul_one_minus_q_power
+from .series import BiSeries, div_one_minus_q_power
 
 
 @dataclass(frozen=True)
@@ -63,27 +64,7 @@ class GordonCondition:
         return p % self.modulus not in self.excluded_residues
 
 
-# -- q-Pochhammer -------------------------------------------------------------
-
-
-def pochhammer(n: int, q_order: int) -> BiSeries:
-    """(1-q)(1-q^2)...(1-q^n) truncated at q_order; the empty product is 1."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    row = [1] + [0] * q_order
-    for i in range(1, n + 1):
-        mul_one_minus_q_power(row, i)
-    return BiSeries(0, q_order, [row])
-
-
-def inverse_pochhammer(n: int, q_order: int) -> BiSeries:
-    """1/((1-q)...(1-q^n)): the generating function of partitions into parts <= n."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    row = [1] + [0] * q_order
-    for i in range(1, n + 1):
-        div_one_minus_q_power(row, i)
-    return BiSeries(0, q_order, [row])
+# -- product side ---------------------------------------------------------------
 
 
 def gordon_product(cond: GordonCondition, q_order: int) -> BiSeries:
@@ -194,38 +175,41 @@ def count_gordon_partitions(cond: GordonCondition, n: int) -> int:
     return sum(row[n] for row in rows)
 
 
-def count_gordon_partitions_refined(cond: GordonCondition, n: int, m: int) -> int:
-    """As count_gordon_partitions, restricted to exactly m parts.
+def gordon_partition_table(cond: GordonCondition, x_order: int, q_order: int) -> BiSeries:
+    """Gordon partitions by number of parts: the coefficient of x^m q^n is
+    the number of partitions of n into exactly m parts meeting the Gordon
+    condition, for every m <= x_order and n <= q_order.
 
-    The same transfer, with each weight row split into rows over the number
-    of parts so far, 0..m; states with more than m parts are dropped. Every
-    part weighs at least 1, so m > n counts nothing.
+    The transfer of count_gordon_partitions, run once with each weight row
+    split into rows over the number of parts so far; states with more parts
+    than the window holds are dropped. Every part weighs at least 1, so no
+    partition in the window has more than q_order parts, and the rows past
+    that are zero.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if m < 0:
-        raise ValueError("need m >= 0")
-    if m > n:
-        return 0
+    if x_order < 0 or q_order < 0:
+        raise ValueError("need x_order >= 0 and q_order >= 0")
     k = cond.l - 1
-    zero = [0] * (n + 1)
+    N = q_order
+    M = min(x_order, N)
+    zero = [0] * (N + 1)
     # tables[f][c][w]: choices of f_1..f_j with f_j = f, c parts and weight w;
     # before j = 1 there is only the empty choice
-    tables = [[[1] + zero[1:]] + [zero] * m]
-    for j in range(1, n + 1):
+    tables = [[[1] + zero[1:]] + [zero] * M]
+    for j in range(1, N + 1):
         # at_most[g][c][w]: the same choices with f_(j-1) <= g
         at_most = []
-        acc = [zero] * (m + 1)
+        acc = [zero] * (M + 1)
         for table in tables:
             acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, table)]
             at_most.append(acc)
         top = len(tables) - 1
         tables = [
             [zero] * f
-            + [[0] * (f * j) + row[: n + 1 - f * j] for row in at_most[min(k - f, top)][: m + 1 - f]]
-            for f in range(min(cond.t - 1 if j == 1 else k, n // j, m) + 1)
+            + [[0] * (f * j) + row[: N + 1 - f * j] for row in at_most[min(k - f, top)][: M + 1 - f]]
+            for f in range(min(cond.t - 1 if j == 1 else k, N // j, M) + 1)
         ]
-    return sum(table[m][n] for table in tables)
+    rows = [tuple(map(sum, zip(*(table[c] for table in tables)))) for c in range(M + 1)]
+    return BiSeries._of(rows + [tuple(zero)] * (x_order - M))
 
 
 def count_congruence_partitions(cond: GordonCondition, n: int) -> int:

@@ -35,8 +35,8 @@ def short_repr(value: object) -> str:
 # -- truncated rows -------------------------------------------------------------
 #
 # A row is the coefficient list [c_0, ..., c_N] of a univariate q-series
-# truncated at q^N. These three functions are the only truncated univariate
-# arithmetic of the solver, the multisum and the products; the partition
+# truncated at q^N. These two functions are the only truncated univariate
+# arithmetic of the solver, the multisum and the product; the partition
 # counts and the ideal-quotient oracle stay outside them, so they remain
 # an independent check on them.
 
@@ -47,12 +47,6 @@ def shift_row(row: Sequence[int], m: int) -> tuple[int, ...]:
     if m >= size:
         return (0,) * size
     return (0,) * m + tuple(row[: size - m])
-
-
-def mul_one_minus_q_power(row: list[int], i: int) -> None:
-    """Multiply row in place by (1 - q^i), highest power first."""
-    for b in range(len(row) - 1, i - 1, -1):
-        row[b] -= row[b - i]
 
 
 def div_one_minus_q_power(row: list[int], i: int) -> None:
@@ -321,16 +315,6 @@ def from_terms(
 
 def monomial(a: int, b: int, x_order: int, q_order: int) -> BiSeries:
     return from_terms(x_order, q_order, {(a, b): 1})
-
-
-def invert_one_minus_q_power(m: int, x_order: int, q_order: int) -> BiSeries:
-    """The geometric series 1 + q^m + q^2m + ..., the exact inverse of 1 - q^m.
-
-    Within the window, (1 - q^m) * result == 1 holds identically.
-    """
-    unit = [1] + [0] * q_order
-    div_one_minus_q_power(unit, m)
-    return BiSeries(x_order, q_order, [unit] + [[0] * (q_order + 1)] * x_order)
 
 
 def specialize_x(series: BiSeries, mode: str) -> tuple[BiSeries, int]:

@@ -295,6 +295,17 @@ def test_crosscheck_over_the_cell_cap():
     assert "MAX_CELLS" in err and wall < 30
 
 
+def test_tall_crosscheck_within_a_memory_cap():
+    # the 300,003 report lines are printed as they come, not held until the
+    # end; holding them needs more than 60 MB of address space
+    code, out, err, _ = run_limited("crosscheck", "--k", "100000", "--mmax", "0",
+                                    "--wmax", "0", memory_mb=50)
+    assert code == 0, err[-300:]
+    lines = out.splitlines()
+    assert len(lines) == 300_003
+    assert all(line.endswith("\tmatch") for line in lines)
+
+
 def test_crosscheck_soft_limit(capsys):
     code, _, err = run(capsys, "crosscheck", "--k", "1", "--mmax", "3", "--wmax", "50")
     assert code == 2

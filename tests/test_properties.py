@@ -3,16 +3,15 @@
 from hypothesis import given, settings, strategies as st
 
 from qgordon import (
+    BiSeries,
     andrews_gordon_multisum,
     from_terms,
-    inverse_pochhammer,
-    invert_one_minus_q_power,
     monomial,
     one,
-    pochhammer,
     solve,
     zero,
 )
+from qgordon.series import div_one_minus_q_power
 
 ORDERS = st.tuples(st.integers(0, 4), st.integers(0, 5))
 
@@ -80,19 +79,31 @@ def test_truncation_coherence(triple, dr, dn, shift):
     assert s_big.qshift(shift).restrict(R, N) == s.qshift(shift)
 
 
+def one_minus_q_power(i, q_order):
+    """1 - q^i as a one-row series; past the window it is 1."""
+    return from_terms(0, q_order, {(0, 0): 1, (0, i): -1} if i <= q_order else {(0, 0): 1})
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.integers(1, 7), st.integers(0, 3), st.integers(0, 14))
-def test_geometric_inverse(m, x_order, q_order):
-    factor = from_terms(x_order, q_order, {(0, 0): 1, (0, m): -1} if m <= q_order
-                        else {(0, 0): 1})
-    inv = invert_one_minus_q_power(m, x_order, q_order)
-    assert factor * inv == one(x_order, q_order)
+@given(st.integers(1, 20), st.lists(st.integers(-9, 9), min_size=1, max_size=15))
+def test_geometric_inverse(i, original):
+    # the kernel's division by 1 - q^i, multiplied back through BiSeries.__mul__
+    N = len(original) - 1
+    row = original[:]
+    div_one_minus_q_power(row, i)
+    assert one_minus_q_power(i, N) * BiSeries(0, N, [row]) == BiSeries(0, N, [original])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 16))
 def test_pochhammer_inverse(n, q_order):
-    assert pochhammer(n, q_order) * inverse_pochhammer(n, q_order) == one(0, q_order)
+    # 1/(q)_n from the kernel's divisions, times (q)_n multiplied out factor by factor
+    row = [1] + [0] * q_order
+    product = one(0, q_order)
+    for i in range(1, n + 1):
+        div_one_minus_q_power(row, i)
+        product = product * one_minus_q_power(i, q_order)
+    assert product * BiSeries(0, q_order, [row]) == one(0, q_order)
 
 
 @settings(max_examples=60, deadline=None)

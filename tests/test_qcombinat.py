@@ -7,18 +7,19 @@ from typing import Iterator
 import pytest
 
 from qgordon import (
+    BiSeries,
     GordonCondition,
     andrews_gordon_multisum,
     count_congruence_partitions,
     count_gordon_partitions,
-    count_gordon_partitions_refined,
     from_terms,
+    gordon_partition_table,
     gordon_product,
-    inverse_pochhammer,
     min_gordon_weight,
+    monomial,
     one,
-    pochhammer,
 )
+from qgordon.series import div_one_minus_q_power
 
 
 def brute_partitions(n):
@@ -95,26 +96,62 @@ def test_gordon_condition_validation():
         GordonCondition(2, 3)
 
 
+def q_pochhammer(n, R, N):
+    """(q)_n = (1-q)(1-q^2)...(1-q^n) on the window (R, N), multiplied out
+    factor by factor with BiSeries.__mul__: no row kernel is involved."""
+    out = one(R, N)
+    for i in range(1, n + 1):
+        out = out * from_terms(R, N, {(0, 0): 1, (0, i): -1} if i <= N else {(0, 0): 1})
+    return out
+
+
+def reciprocal_q_pochhammer(n, R, N):
+    """1/(q)_n as the product of the geometric series 1 + q^i + q^2i + ...
+    for i = 1..n, each written out with from_terms and multiplied with
+    BiSeries.__mul__: the kernel-free reference for 1/(q)_n."""
+    out = one(R, N)
+    for i in range(1, n + 1):
+        out = out * from_terms(R, N, {(0, b): 1 for b in range(0, N + 1, i)})
+    return out
+
+
+def kernel_reciprocal(n, N):
+    """1/(q)_n as a row of length N + 1, divided by 1 - q^i for i = 1..n in
+    the row kernel."""
+    row = [1] + [0] * N
+    for i in range(1, n + 1):
+        div_one_minus_q_power(row, i)
+    return row
+
+
 def test_pochhammer():
-    assert list(pochhammer(0, 5).row(0)) == [1, 0, 0, 0, 0, 0]
-    assert list(pochhammer(1, 5).row(0)) == [1, -1, 0, 0, 0, 0]
-    assert list(pochhammer(3, 6).row(0)) == [1, -1, -1, 0, 1, 1, -1]
+    assert list(q_pochhammer(0, 0, 5).row(0)) == [1, 0, 0, 0, 0, 0]
+    assert list(q_pochhammer(1, 0, 5).row(0)) == [1, -1, 0, 0, 0, 0]
+    assert list(q_pochhammer(3, 0, 6).row(0)) == [1, -1, -1, 0, 1, 1, -1]
+    # the kernel's divisions undo the factors, back to 1
+    row = list(q_pochhammer(3, 0, 6).row(0))
+    for i in range(1, 4):
+        div_one_minus_q_power(row, i)
+    assert row == [1, 0, 0, 0, 0, 0, 0]
 
 
 def test_inverse_pochhammer():
-    assert list(inverse_pochhammer(0, 4).row(0)) == [1, 0, 0, 0, 0]
+    assert kernel_reciprocal(0, 4) == [1, 0, 0, 0, 0]
     # partitions into parts <= 2, against a direct enumeration
     expected = [
         sum(1 for p in brute_partitions(w) if all(x <= 2 for x in p)) for w in range(7)
     ]
     assert expected == [1, 1, 2, 2, 3, 3, 4]
-    assert list(inverse_pochhammer(2, 6).row(0)) == expected
+    assert kernel_reciprocal(2, 6) == expected
+    assert list(reciprocal_q_pochhammer(2, 0, 6).row(0)) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
 def test_pochhammer_inverse_property(n):
     N = 12
-    assert pochhammer(n, N) * inverse_pochhammer(n, N) == one(0, N)
+    inverse = BiSeries(0, N, [kernel_reciprocal(n, N)])
+    assert q_pochhammer(n, 0, N) * inverse == one(0, N)
+    assert inverse == reciprocal_q_pochhammer(n, 0, N)
 
 
 def test_gordon_product_frozen():
@@ -152,25 +189,26 @@ def test_multisum_level_one_closed_form():
     for n in range(1, R + 1):
         if n * n > N:
             break
-        inv = inverse_pochhammer(n, N)
-        lifted = from_terms(R, N, {(0, b): c for b, c in enumerate(inv.row(0)) if c})
-        expected = expected + lifted.mul_monomial(n, n * n)
+        expected = expected + reciprocal_q_pochhammer(n, R, N) * monomial(n, n * n, R, N)
     assert expected == andrews_gordon_multisum(1, 1, R, N)
 
 
 def literal_multisum(k, i, R, N):
     """The Andrews-Gordon sum term by term: one x^m q^E / prod (q)_d for
-    every tuple N_1 >= ... >= N_k >= 0. Entries above R put the x-power
-    outside the window, so the tuples with entries <= R are all of them."""
+    every tuple N_1 >= ... >= N_k >= 0, built from from_terms, + and *
+    only, so it shares no code with the row kernel the multisum runs.
+    Entries above R put the x-power outside the window, so the tuples with
+    entries <= R are all of them."""
     total = from_terms(R, N, {})
     for tup in combinations_with_replacement(range(R, -1, -1), k):
         m = sum(tup)
         energy = sum(v * v for v in tup) + sum(tup[i:])
-        den = inverse_pochhammer(tup[-1], N)
+        if m > R or energy > N:
+            continue
+        term = reciprocal_q_pochhammer(tup[-1], R, N) * monomial(m, energy, R, N)
         for j in range(k - 1):
-            den = den * inverse_pochhammer(tup[j] - tup[j + 1], N)
-        lifted = from_terms(R, N, {(0, b): c for b, c in enumerate(den.row(0)) if c})
-        total = total + lifted.mul_monomial(m, energy)
+            term = term * reciprocal_q_pochhammer(tup[j] - tup[j + 1], R, N)
+        total = total + term
     return total
 
 
@@ -214,20 +252,23 @@ def test_count_gordon_examples():
 
 def test_count_gordon_refined():
     cond = GordonCondition(2, 2)
-    assert count_gordon_partitions_refined(cond, 0, 0) == 1
-    assert count_gordon_partitions_refined(cond, 5, 0) == 0
-    assert count_gordon_partitions_refined(cond, 4, 2) == 1
+    table = gordon_partition_table(cond, 13, 11)
+    assert (table.x_order, table.q_order) == (13, 11)
+    assert table.coeff(0, 0) == 1
+    assert table.coeff(0, 5) == 0
+    assert table.coeff(2, 4) == 1
     for n in range(12):
-        total = sum(count_gordon_partitions_refined(cond, n, m) for m in range(n + 1))
+        total = sum(table.coeff(m, n) for m in range(14))
         assert total == count_gordon_partitions(cond, n)
-    # every part weighs at least 1, so more parts than weight counts nothing,
-    # and a huge m is answered before any table is built
-    for n in range(6):
-        assert count_gordon_partitions_refined(cond, n, n + 1) == 0
-    assert count_gordon_partitions_refined(cond, 5, 10**30) == 0
-    for n, m in [(-1, 0), (-1, 3), (3, -1), (0, -1)]:
+    # every part weighs at least 1, so more parts than weight counts nothing
+    for n in range(12):
+        assert all(table.coeff(m, n) == 0 for m in range(n + 1, 14))
+    # a smaller window, in parts or in weight, is the same table cut down
+    for R, N in [(0, 0), (0, 11), (3, 11), (13, 4), (5, 0)]:
+        assert gordon_partition_table(cond, R, N) == table.restrict(R, N)
+    for R, N in [(-1, 0), (-1, 3), (3, -1), (0, -1)]:
         with pytest.raises(ValueError):
-            count_gordon_partitions_refined(cond, n, m)
+            gordon_partition_table(cond, R, N)
 
 
 def test_count_congruence_examples():
@@ -241,6 +282,7 @@ def test_counts_against_unfiltered_brute_force():
     for l, t in [(2, 2), (3, 1), (3, 3), (4, 2)]:
         cond = GordonCondition(l, t)
         k = l - 1
+        table = gordon_partition_table(cond, 16, 14)
         for n in range(15):
             expected_gordon = []
             expected_cong = 0
@@ -256,7 +298,7 @@ def test_counts_against_unfiltered_brute_force():
             assert count_gordon_partitions(cond, n) == len(expected_gordon)
             by_parts = Counter(map(len, expected_gordon))
             for m in range(n + 2):
-                assert count_gordon_partitions_refined(cond, n, m) == by_parts[m]
+                assert table.coeff(m, n) == by_parts[m]
             assert count_congruence_partitions(cond, n) == expected_cong
 
 
@@ -266,6 +308,7 @@ def test_counts_against_unfiltered_brute_force():
 ])
 def test_counts_against_the_enumerators(l, t, n_max):
     cond = GordonCondition(l, t)
+    table = gordon_partition_table(cond, 21, 20)
     for n in range(n_max + 1):
         partitions = list(iter_gordon_partitions(cond, n))
         assert count_gordon_partitions(cond, n) == len(partitions)
@@ -273,7 +316,7 @@ def test_counts_against_the_enumerators(l, t, n_max):
         if n <= 20:
             by_parts = Counter(map(len, partitions))
             for m in range(n + 2):
-                assert count_gordon_partitions_refined(cond, n, m) == by_parts[m]
+                assert table.coeff(m, n) == by_parts[m]
 
 
 @pytest.mark.parametrize("l,t,n_max", [(3, 1, 200), (3, 2, 200), (3, 3, 200), (60, 60, 60)])
@@ -318,15 +361,14 @@ def test_gordon_identity_small_range():
 
 @pytest.mark.parametrize("l,t,R,N", [
     *[pytest.param(l, t, 5, 12, id=f"{l}-{t}") for l, t in [(2, 1), (2, 2), (3, 2), (4, 4)]],
-    *[pytest.param(l, t, 8, 40, id=f"{l}-{t}-8-40") for l, t in [(3, 2), (4, 4), (5, 1)]],
+    *[pytest.param(l, t, R, N, id=f"{l}-{t}-{R}-{N}") for l, t, R, N in [
+        (3, 2, 8, 40), (4, 4, 8, 40), (5, 1, 8, 40),
+        (3, 3, 0, 0), (2, 2, 0, 9), (4, 1, 7, 0), (6, 3, 31, 200),
+    ]],
 ])
 def test_multisum_matches_refined_counts(l, t, R, N):
     cond = GordonCondition(l, t)
-    k, i = l - 1, t - 1
-    s = andrews_gordon_multisum(k, i, R, N)
-    for m in range(R + 1):
-        for n in range(N + 1):
-            assert s.coeff(m, n) == count_gordon_partitions_refined(cond, n, m)
+    assert andrews_gordon_multisum(l - 1, t - 1, R, N) == gordon_partition_table(cond, R, N)
 
 
 @pytest.mark.parametrize("t", [1, 4, 8])
@@ -335,17 +377,14 @@ def test_multisum_with_more_levels_than_the_window_holds(t):
     # multisum enumerates 3 levels and must still count every partition
     cond = GordonCondition(8, t)
     R, N = 3, 12
-    s = andrews_gordon_multisum(7, t - 1, R, N)
-    for m in range(R + 1):
-        for n in range(N + 1):
-            assert s.coeff(m, n) == count_gordon_partitions_refined(cond, n, m)
+    assert andrews_gordon_multisum(7, t - 1, R, N) == gordon_partition_table(cond, R, N)
 
 
 def test_inverse_pochhammer_monotone_in_n():
     N = 10
-    prev = inverse_pochhammer(0, N).row(0)
+    prev = kernel_reciprocal(0, N)
     for n in range(1, 7):
-        cur = inverse_pochhammer(n, N).row(0)
+        cur = kernel_reciprocal(n, N)
         assert all(c >= p for c, p in zip(cur, prev))
         prev = cur
 
@@ -358,18 +397,14 @@ def test_min_gordon_weight():
     assert min_gordon_weight(4, 13) == 43
     # attained for the most permissive ones-count (t = l)
     for l in (2, 3):
-        cond = GordonCondition(l, l)
+        table = gordon_partition_table(GordonCondition(l, l), 4, 59)
         for m in range(1, 5):
-            attained = next(
-                n
-                for n in range(0, 60)
-                if count_gordon_partitions_refined(cond, n, m) > 0
-            )
+            attained = next(n for n in range(0, 60) if table.coeff(m, n) > 0)
             assert attained == min_gordon_weight(l - 1, m)
     # and a valid lower bound for stricter t
     for l in (2, 3):
         for t in range(1, l + 1):
-            cond = GordonCondition(l, t)
+            table = gordon_partition_table(GordonCondition(l, t), 4, 59)
             for m in range(1, 5):
                 for n in range(min_gordon_weight(l - 1, m)):
-                    assert count_gordon_partitions_refined(cond, n, m) == 0
+                    assert table.coeff(m, n) == 0

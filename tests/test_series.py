@@ -9,18 +9,16 @@ from qgordon import (
     GordonCondition,
     andrews_gordon_multisum,
     from_terms,
+    gordon_partition_table,
     gordon_product,
     hilbert_table,
-    inverse_pochhammer,
-    invert_one_minus_q_power,
     monomial,
     one,
-    pochhammer,
     solve,
     specialize_x,
     zero,
 )
-from qgordon.series import MAX_CELLS
+from qgordon.series import MAX_CELLS, div_one_minus_q_power
 
 
 def brute_poly_mul(u, v, N):
@@ -116,14 +114,24 @@ def test_mul_monomial():
 
 
 def test_invert_one_minus_q_power():
-    assert list(invert_one_minus_q_power(1, 0, 4).row(0)) == [1, 1, 1, 1, 1]
-    assert list(invert_one_minus_q_power(3, 0, 7).row(0)) == [1, 0, 0, 1, 0, 0, 1, 0]
-    for m in (1, 2, 5):
-        R, N = 2, 9
-        factor = from_terms(R, N, {(0, 0): 1, (0, m): -1})
-        assert factor * invert_one_minus_q_power(m, R, N) == one(R, N)
-    with pytest.raises(ValueError):
-        invert_one_minus_q_power(0, 1, 1)
+    # the row kernel's division, undone by the factor through BiSeries.__mul__
+    unit = [1, 0, 0, 0, 0]
+    div_one_minus_q_power(unit, 1)
+    assert unit == [1, 1, 1, 1, 1]
+    unit = [1, 0, 0, 0, 0, 0, 0, 0]
+    div_one_minus_q_power(unit, 3)
+    assert unit == [1, 0, 0, 1, 0, 0, 1, 0]
+    original = [3, -1, 0, 7, 2, 0, -5, 1, 0, 4]
+    N = len(original) - 1
+    for i in (1, 2, 5, N, N + 1, N + 7):
+        row = original[:]
+        div_one_minus_q_power(row, i)
+        # past the row's length, 1 - q^i is 1 in the window
+        factor = from_terms(0, N, {(0, 0): 1, (0, i): -1} if i <= N else {(0, 0): 1})
+        assert factor * BiSeries(0, N, [row]) == BiSeries(0, N, [original])
+    for i in (0, -1):
+        with pytest.raises(ValueError):
+            div_one_minus_q_power([1, 2, 3], i)
 
 
 def test_specialize_monomial():
@@ -174,15 +182,13 @@ WINDOW_BUILDERS = {
     "one": lambda R, N: one(R, N),
     "monomial": lambda R, N: monomial(0, 0, R, N),
     "from_terms": lambda R, N: from_terms(R, N, {}),
-    "pochhammer": lambda R, N: pochhammer(2, N),
-    "inverse_pochhammer": lambda R, N: inverse_pochhammer(2, N),
-    "invert_one_minus_q_power": lambda R, N: invert_one_minus_q_power(1, R, N),
     "andrews_gordon_multisum": lambda R, N: andrews_gordon_multisum(2, 1, R, N),
     "solve": lambda R, N: solve(2, R, N),
     "gordon_product": lambda R, N: gordon_product(GordonCondition(3, 2), N),
+    "gordon_partition_table": lambda R, N: gordon_partition_table(GordonCondition(3, 2), R, N),
     "restrict": lambda R, N: one(2, 2).restrict(R, N),
 }
-Q_ONLY_BUILDERS = {"pochhammer", "inverse_pochhammer", "gordon_product"}
+Q_ONLY_BUILDERS = {"gordon_product"}
 NEGATIVE_WINDOWS = [(0, -1), (-1, 0), (2, -1), (-1, 2), (-2, -2)]
 
 
