@@ -20,6 +20,7 @@ import json
 import os
 import stat
 import sys
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ideal_quotient import hilbert_table
@@ -31,7 +32,7 @@ from .qcombinat import (
     gordon_product,
     min_gordon_weight,
 )
-from .selberg import RecursionFamily, check_recursions, solve
+from .selberg import RecursionFamily, check_recursions, member_decoder, solve
 from .series import MAX_CELLS, BiSeries, specialize_x
 
 # oracle and crosscheck build full ideal-quotient tables; beyond this window
@@ -167,15 +168,20 @@ def _crosscheck_comparisons(k: int, mmax: int, wmax: int) -> Iterator[tuple[bool
     # a window cell holds at most min(mmax, wmax) ones and nonzero N_j, so
     # for i >= that bound neither the y_1^(i+1) generator nor the multisum's
     # linear term N_(i+1) + ... + N_k reaches it: those members share the
-    # tables built for i = min(mmax, wmax)
+    # tables built for i = min(mmax, wmax); one progress line names them all
     shared = min(mmax, wmax)
     for e in range(1, k + 2):
         i = e - 1
-        print(f"crosscheck e={e} ({window})", file=sys.stderr)
         solver = _rows(fam.members[i])
         if i <= shared:
+            print(f"crosscheck e={e} ({window})", file=sys.stderr)
             multisum = _rows(andrews_gordon_multisum(k, i, mmax, wmax))
             table = hilbert_table(k, e, mmax, wmax).entries
+        elif i == shared + 1:
+            print(
+                f"crosscheck e={e}..{k + 1} ({window}), sharing the tables of e={e - 1}",
+                file=sys.stderr,
+            )
         a = f"solve[F{i}]"
         b = f"multisum[i={i}]"
         c = f"ideal-quotient[e={e}]"
@@ -193,12 +199,12 @@ def cmd_check_recursions(args: argparse.Namespace) -> int:
             os.close(fd)
             return _usage(f"cannot load family from {args.input!r}: not a regular file")
         with os.fdopen(fd, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_hook=member_decoder())
         fam = RecursionFamily.from_json_dict(obj)
     except (OSError, ValueError, RecursionError) as exc:
         return _usage(f"cannot load family from {args.input!r}: {exc}")
     residuals = check_recursions(fam)
-    labels = [f"difference-eq[i={i}]" for i in range(1, fam.k + 1)] + ["shift-eq"]
+    labels = chain((f"difference-eq[i={i}]" for i in range(1, fam.k + 1)), ["shift-eq"])
     all_zero = True
     for label, res in zip(labels, residuals):
         if res.is_zero():

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row, short_repr
 
@@ -106,6 +106,10 @@ class RecursionFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> RecursionFamily:
+        """Inverse of to_json_dict. A member is either a plain series
+        object, built here after every member's window is checked, or a
+        BiSeries that member_decoder() built while the file was parsed,
+        under its budget of MAX_CELLS cells for the whole file."""
         try:
             k, R, N, F = obj["k"], obj["x_order"], obj["q_order"], obj["F"]
             if type(k) is not int or type(R) is not int or type(N) is not int:
@@ -117,16 +121,53 @@ class RecursionFamily:
                     f"{short_repr(k + 1)} members at ({short_repr(R)},{short_repr(N)}) "
                     f"exceed MAX_CELLS={MAX_CELLS} cells"
                 )
-            # every member must declare the family window before any is
-            # loaded, so no member allocates more than its share of the cap
+            # every plain member must declare the family window before any
+            # is built, so no member allocates more than its share of the cap
             if not isinstance(F, list) or len(F) != k + 1:
                 raise ValueError(f"F must be a list of {k + 1} members")
-            if any(f["x_order"] != R or f["q_order"] != N for f in F):
+            if any(_window(f) != (R, N) for f in F):
                 raise ValueError("member orders do not match the family window")
-            members = tuple(BiSeries.from_json_dict(f) for f in F)
+            members = tuple(
+                f if isinstance(f, BiSeries) else BiSeries.from_json_dict(f) for f in F
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed family object: {exc}") from None
         return cls(k=k, x_order=R, q_order=N, members=members)
+
+
+def _window(member: BiSeries | dict) -> tuple[object, object]:
+    """The (x_order, q_order) a member has or, as a plain object, declares."""
+    if isinstance(member, BiSeries):
+        return member.x_order, member.q_order
+    return member["x_order"], member["q_order"]
+
+
+def member_decoder() -> Callable[[dict], object]:
+    """An object_hook for json.load that turns each series object, one
+    with "terms", into a BiSeries as soon as it is parsed, so a family
+    file's term lists are freed member by member; other objects pass
+    through. The series of one document share a budget of MAX_CELLS
+    cells, and each declared window is charged before its table is
+    allocated."""
+    budget = MAX_CELLS
+
+    def hook(obj: dict) -> object:
+        nonlocal budget
+        if "terms" not in obj:
+            return obj
+        R, N = obj.get("x_order"), obj.get("q_order")
+        try:
+            if type(R) is int and type(N) is int and R >= 0 and N >= 0:
+                budget -= (R + 1) * (N + 1)
+                if budget < 0:
+                    raise ValueError(
+                        f"its series declare more than MAX_CELLS={MAX_CELLS} cells in all"
+                    )
+            return BiSeries.from_json_dict(obj)
+        except ValueError as exc:
+            raise ValueError(f"malformed family object: {exc}") from None
+
+    return hook
 
 
 # -- solver ---------------------------------------------------------------------

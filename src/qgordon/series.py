@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, Sequence
 # The largest window, in coefficients, that the JSON loaders and the solve
 # command accept: (x_order+1)(q_order+1) for a series, k+1 times that for a
 # family. 10**7 is about 20 times the k=4 (80, 1200) family. Dense tables are
-# allocated from the declared orders, so the orders are checked against this
-# before anything is allocated.
+# allocated from the declared orders, so each series' orders are checked
+# against this before its table is allocated; a family file's series share
+# one budget of this many cells, which each draws on before it is built.
 MAX_CELLS = 10**7
 
 
@@ -114,7 +115,7 @@ class BiSeries:
                     yield (a, b, c)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self._rows for c in row)
+        return not any(map(any, self._rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiSeries):

@@ -306,6 +306,19 @@ def test_tall_crosscheck_within_a_memory_cap():
     assert all(line.endswith("\tmatch") for line in lines)
 
 
+def test_crosscheck_names_the_members_that_share_tables_once(capsys):
+    # members i <= min(mmax, wmax) = 2 build their own tables and get one
+    # progress line each; e = 4..7 share the tables of e = 3 and get one in all
+    code, out, err = run(capsys, "crosscheck", "--k", "6", "--mmax", "2", "--wmax", "5")
+    assert code == 0 and len(out.splitlines()) == 21
+    assert err.splitlines() == [
+        "crosscheck e=1 (x<=2,q<=5)",
+        "crosscheck e=2 (x<=2,q<=5)",
+        "crosscheck e=3 (x<=2,q<=5)",
+        "crosscheck e=4..7 (x<=2,q<=5), sharing the tables of e=3",
+    ]
+
+
 def test_crosscheck_soft_limit(capsys):
     code, _, err = run(capsys, "crosscheck", "--k", "1", "--mmax", "3", "--wmax", "50")
     assert code == 2
@@ -442,6 +455,10 @@ def _declare_family_window(obj, q_order):
         pytest.param(lambda obj: obj["F"][0].update(x_order=10**30), id="member-window"),
         pytest.param(lambda obj: obj.update(x_order=10**30), id="family-window"),
         pytest.param(lambda obj: _declare_family_window(obj, 2 * 10**6), id="family-over-cap"),
+        # each member fits under the cap, the three together do not, and only
+        # the members declare it: the second is refused before it is built
+        pytest.param(lambda obj: [m.update(q_order=2 * 10**6) for m in obj["F"]],
+                     id="members-over-cap-together"),
         pytest.param(lambda obj: obj.update(k=10**6), id="level-over-cap"),
     ],
 )
@@ -454,7 +471,35 @@ def test_check_recursions_refuses_oversized_windows(tmp_path, capsys, edit):
     path.write_text(json.dumps(obj))
     code, stdout, err, wall = run_limited("check-recursions", "--input", str(path))
     assert (code, stdout) == (2, "")
-    assert "malformed" in err and wall < 30
+    assert "malformed" in err and "MAX_CELLS" in err and wall < 30
+
+
+SERIES = {"x_order": 0, "q_order": 0, "terms": [[0, 0, "1"]]}
+
+
+# a series object where the loader expects no member: the level, the whole
+# document, a term, a member's term list and a member's order
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda obj: obj.update(k=SERIES), id="as-k"),
+        pytest.param(lambda obj: SERIES, id="top-level"),
+        pytest.param(lambda obj: obj["F"][0]["terms"].__setitem__(1, SERIES), id="as-term"),
+        pytest.param(lambda obj: obj["F"][1].update(terms=SERIES), id="as-terms"),
+        pytest.param(lambda obj: obj["F"][1].update(x_order=SERIES), id="as-order"),
+        pytest.param(lambda obj: obj.update(F=SERIES), id="as-F"),
+    ],
+)
+def test_check_recursions_refuses_misplaced_series(tmp_path, capsys, edit):
+    _, out, _ = run(capsys, "solve", "--k", "1", "--xmax", "2", "--qmax", "4",
+                    "--format", "json")
+    obj = json.loads(out)
+    obj = edit(obj) or obj
+    path = tmp_path / "misplaced.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
+    assert (code, stdout) == (2, "")
+    assert "cannot load family" in err and len(err.splitlines()) == 1
 
 
 def test_output_determinism(capsys):

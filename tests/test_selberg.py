@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from qgordon import (
     weight_data,
     zero,
 )
+from qgordon import selberg
+from qgordon.selberg import member_decoder
 
 
 def test_solve_validation():
@@ -208,3 +211,55 @@ def test_family_validation():
         RecursionFamily(k=2, x_order=5, q_order=8, members=fam.members)
     with pytest.raises(ValueError):
         RecursionFamily.from_json_dict({"k": 2, "x_order": 1})
+
+
+def _family_text(k, x_order, q_order):
+    out = io.StringIO()
+    solve(k, x_order, q_order).write_json(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "k, x_order, q_order",
+    [(1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (1, 5, 12), (2, 4, 8), (3, 0, 6),
+     (3, 6, 0), (4, 3, 11), (4, 7, 20)],
+)
+def test_member_decoder_loads_the_family_the_plain_path_loads(k, x_order, q_order):
+    text = _family_text(k, x_order, q_order)
+    plain = RecursionFamily.from_json_dict(json.loads(text))
+    decoded = json.loads(text, object_hook=member_decoder())
+    assert all(isinstance(f, BiSeries) for f in decoded["F"])
+    assert RecursionFamily.from_json_dict(decoded) == plain == solve(k, x_order, q_order)
+
+
+def test_decoded_members_are_checked_against_the_family_window():
+    obj = {"k": 1, "x_order": 0, "q_order": 0, "F": [one(0, 0), one(0, 1)]}
+    with pytest.raises(ValueError, match="malformed family object"):
+        RecursionFamily.from_json_dict(obj)
+
+
+def test_member_decoder_charges_one_budget_for_the_whole_document(monkeypatch):
+    # three series of half the cap each: the third is refused before its
+    # table is allocated, and the error names the family as malformed
+    monkeypatch.setattr(selberg, "MAX_CELLS", 100)
+    half = {"x_order": 4, "q_order": 9, "terms": [[0, 0, "1"]]}
+    with pytest.raises(ValueError, match="malformed family object: .*MAX_CELLS=100"):
+        json.loads(json.dumps([half, half, half]), object_hook=member_decoder())
+    # each call of the factory starts a fresh budget
+    assert len(json.loads(json.dumps([half, half]), object_hook=member_decoder())) == 2
+
+
+def test_member_decoder_peaks_below_a_bare_parse():
+    # a member's term lists are freed as soon as it is built, so the dense
+    # family costs less at its peak than the parse tree of the same text
+    text = _family_text(4, 20, 300)
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        _, bare = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        RecursionFamily.from_json_dict(json.loads(text, object_hook=member_decoder()))
+        _, decoded = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded < bare
