@@ -42,6 +42,7 @@ from .selberg import (
     WeightData,
     check_recursions,
     check_rr_recursion,
+    member_decoder,
     solve,
     weight_data,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "gordon_product",
     "hilbert_table",
     "integer_matrix_rank",
+    "member_decoder",
     "min_gordon_weight",
     "monomial",
     "one",

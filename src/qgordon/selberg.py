@@ -106,10 +106,10 @@ class RecursionFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> RecursionFamily:
-        """Inverse of to_json_dict. A member is either a plain series
-        object, built here after every member's window is checked, or a
-        BiSeries that member_decoder() built while the file was parsed,
-        under its budget of MAX_CELLS cells for the whole file."""
+        """Build a family from a document that json.load parsed with
+        object_hook=member_decoder(), so that its members are already
+        BiSeries: k+1 of them, each at the window (x_order, q_order).
+        Any other document raises ValueError("malformed family object: ...")."""
         try:
             k, R, N, F = obj["k"], obj["x_order"], obj["q_order"], obj["F"]
             if type(k) is not int or type(R) is not int or type(N) is not int:
@@ -121,25 +121,11 @@ class RecursionFamily:
                     f"{short_repr(k + 1)} members at ({short_repr(R)},{short_repr(N)}) "
                     f"exceed MAX_CELLS={MAX_CELLS} cells"
                 )
-            # every plain member must declare the family window before any
-            # is built, so no member allocates more than its share of the cap
-            if not isinstance(F, list) or len(F) != k + 1:
-                raise ValueError(f"F must be a list of {k + 1} members")
-            if any(_window(f) != (R, N) for f in F):
-                raise ValueError("member orders do not match the family window")
-            members = tuple(
-                f if isinstance(f, BiSeries) else BiSeries.from_json_dict(f) for f in F
-            )
+            if not isinstance(F, list) or not all(isinstance(f, BiSeries) for f in F):
+                raise ValueError("F must be a list of series")
+            return cls(k=k, x_order=R, q_order=N, members=tuple(F))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed family object: {exc}") from None
-        return cls(k=k, x_order=R, q_order=N, members=members)
-
-
-def _window(member: BiSeries | dict) -> tuple[object, object]:
-    """The (x_order, q_order) a member has or, as a plain object, declares."""
-    if isinstance(member, BiSeries):
-        return member.x_order, member.q_order
-    return member["x_order"], member["q_order"]
 
 
 def member_decoder() -> Callable[[dict], object]:
@@ -148,7 +134,8 @@ def member_decoder() -> Callable[[dict], object]:
     file's term lists are freed member by member; other objects pass
     through. The series of one document share a budget of MAX_CELLS
     cells, and each declared window is charged before its table is
-    allocated."""
+    allocated. RecursionFamily.from_json_dict takes the document it
+    returns."""
     budget = MAX_CELLS
 
     def hook(obj: dict) -> object:

@@ -370,6 +370,8 @@ def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
     assert good["F"][0]["terms"][:2] == [[0, 0, "1"], [1, 2, "1"]]
     edits = [
         lambda obj: obj.update(k=True),
+        lambda obj: obj.update(k=0),
+        lambda obj: obj.update(k=-1),
         lambda obj: obj.update(x_order=2.0),
         lambda obj: obj["F"][0]["terms"].insert(1, [0, 0, "1"]),  # duplicate
         lambda obj: obj["F"][0]["terms"].reverse(),  # unsorted

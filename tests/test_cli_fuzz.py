@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgordon import RecursionFamily
+from qgordon import RecursionFamily, member_decoder
 from qgordon.cli import ORACLE_MAX_M, ORACLE_MAX_W, VERIFY_MAX_Q, main
 from qgordon.series import MAX_CELLS
 
@@ -148,7 +148,9 @@ def mutated_families(draw):
 @given(obj=mutated_families())
 def test_family_loader_contract(tmp_path_factory, obj):
     try:
-        RecursionFamily.from_json_dict(obj)
+        RecursionFamily.from_json_dict(
+            json.loads(json.dumps(obj), object_hook=member_decoder())
+        )
     except ValueError:
         pass
     path = tmp_path_factory.getbasetemp() / "mutated.json"

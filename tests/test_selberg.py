@@ -14,6 +14,7 @@ from qgordon import (
     check_recursions,
     check_rr_recursion,
     from_terms,
+    member_decoder,
     monomial,
     one,
     solve,
@@ -21,7 +22,6 @@ from qgordon import (
     zero,
 )
 from qgordon import selberg
-from qgordon.selberg import member_decoder
 
 
 def test_solve_validation():
@@ -190,9 +190,8 @@ def test_specializations_of_level_one():
 
 def test_family_json_round_trip():
     fam = solve(2, 4, 8)
-    obj = fam.to_json_dict()
-    back = RecursionFamily.from_json_dict(obj)
-    assert back == fam
+    obj = json.loads(json.dumps(fam.to_json_dict()), object_hook=member_decoder())
+    assert RecursionFamily.from_json_dict(obj) == fam
 
 
 @pytest.mark.parametrize("k, x_order, q_order", [(1, 0, 0), (3, 0, 5), (2, 6, 40)])
@@ -225,17 +224,39 @@ def _family_text(k, x_order, q_order):
      (3, 6, 0), (4, 3, 11), (4, 7, 20)],
 )
 def test_member_decoder_loads_the_family_the_plain_path_loads(k, x_order, q_order):
-    text = _family_text(k, x_order, q_order)
-    plain = RecursionFamily.from_json_dict(json.loads(text))
-    decoded = json.loads(text, object_hook=member_decoder())
+    # write_json's text, decoded, is the family solve built
+    decoded = json.loads(_family_text(k, x_order, q_order), object_hook=member_decoder())
     assert all(isinstance(f, BiSeries) for f in decoded["F"])
-    assert RecursionFamily.from_json_dict(decoded) == plain == solve(k, x_order, q_order)
+    assert RecursionFamily.from_json_dict(decoded) == solve(k, x_order, q_order)
 
 
 def test_decoded_members_are_checked_against_the_family_window():
     obj = {"k": 1, "x_order": 0, "q_order": 0, "F": [one(0, 0), one(0, 1)]}
     with pytest.raises(ValueError, match="malformed family object"):
         RecursionFamily.from_json_dict(obj)
+
+
+def _decoded(edit):
+    obj = solve(2, 3, 6).to_json_dict()
+    edit(obj)
+    return json.loads(json.dumps(obj), object_hook=member_decoder())
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        # members that member_decoder did not build
+        pytest.param(lambda: solve(2, 3, 6).to_json_dict(), id="undecoded"),
+        pytest.param(lambda: _decoded(lambda obj: obj.update(k=0)), id="k-0"),
+        pytest.param(lambda: _decoded(lambda obj: obj.update(k=-1)), id="k-minus-1"),
+        pytest.param(lambda: _decoded(lambda obj: obj["F"].pop()), id="member-dropped"),
+        pytest.param(lambda: _decoded(lambda obj: obj["F"][1].update(q_order=5)),
+                     id="member-off-window"),
+    ],
+)
+def test_family_loader_refuses_malformed_documents(load):
+    with pytest.raises(ValueError, match="malformed family object"):
+        RecursionFamily.from_json_dict(load())
 
 
 def test_member_decoder_charges_one_budget_for_the_whole_document(monkeypatch):
