@@ -38,8 +38,8 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # oracle and crosscheck build full ideal-quotient tables; beyond this window
 # the exact rank computations stop being interactive-fast, so larger requests
 # are rejected as usage errors rather than left to crawl. At the edge,
-# crosscheck --mmax 12 --wmax 30 takes about 1.2 s at k=2, at most about 1.9 s
-# for k = 3..5 and 0.9 s at k=8, on Python 3.11 and a shared 2-core x86-64
+# crosscheck --mmax 12 --wmax 30 takes about 1.2 s at k=2, at most about 1.4 s
+# for k = 3..5 and 0.5 s at k=8, on Python 3.11 and a shared 2-core x86-64
 ORACLE_MAX_M = 12
 ORACLE_MAX_W = 30
 # verify-gordon counts partitions with transfer tables, O(n^2 log n) for each

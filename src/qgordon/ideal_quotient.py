@@ -17,11 +17,12 @@ so they are left out of the basis (and as multipliers) instead of ranked.
 A monomial is an integer key, the sum over its parts j of 2^(width * j)
 with width the bit length of the window's largest charge: no part occurs
 2^width times in the window, so the key of a product is the sum of the
-keys. ``cell_bases`` lists each cell's basis keys in order of their count
-of ones, fewest first, so the basis of every smaller exponent is a prefix
-of it. The products of the remaining monomials with the r_w are sparse
-{column: coefficient} rows over that basis, and each quotient dimension is
-|basis| - rank, with the rank taken exactly by ``integer_matrix_rank``.
+keys. One recursion, ``keyed_partitions``, lists partitions as (key,
+multiplicity) pairs, fewest ones first: cut at e ones they are each cell's
+basis, and with k+1 parts they are the generators r_w. The products of the
+remaining monomials with the r_w are sparse {column: coefficient} rows over
+that basis, and each quotient dimension is |basis| - rank, with the rank
+taken exactly by ``integer_matrix_rank``.
 Nothing here touches the recursion system or the multisum: quotient
 dimensions come out of monomial counts and integer row reduction alone,
 which is what makes the resulting tables usable as an oracle against the
@@ -30,19 +31,17 @@ other two computation routes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .series import BiSeries
 
 
 def partitions_exact(w: int, m: int) -> list[tuple[int, ...]]:
     """Partitions of w into exactly m parts, in decreasing lexicographic order."""
-    if m < 0 or w < 0:
-        return []
-    if m == 0:
-        return [()] if w == 0 else []
-    if w < m:
+    if m < 0 or w < m:
         return []
     out: list[tuple[int, ...]] = []
 
@@ -85,41 +84,21 @@ def r_polynomial(k: int, w: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def monomial_key(lam: tuple[int, ...], width: int) -> int:
-    """The integer key of the monomial y_lam: the sum over its parts j of
-    2^(width * j).
+def keyed_partitions(width: int) -> Callable[[int, int], list[tuple[int, int]]]:
+    """keyed(n, p), memoized: the partitions of n into exactly p parts as
+    (key, multiplicity) pairs, fewest ones first. Removing the j ones and
+    lowering the other parts by 1 leaves a partition mu of n - p into p - j
+    parts, so the key is (key(mu) + j) << width and the multiplicity (the
+    number of ordered p-tuples) is C(p, j) * mult(mu)."""
 
-    While no part occurs 2^width times or more, the key is a list of part
-    counts in base 2^width, so the key of a product is the sum of the keys.
-    """
-    return sum(1 << (width * j) for j in lam)
+    @functools.cache
+    def keyed(n: int, p: int) -> list[tuple[int, int]]:
+        if p < 1 or n < p:
+            return [(0, 1)] if n == p == 0 else []
+        return [((key + j) << width, math.comb(p, j) * mult)
+                for j in range(p + 1) for key, mult in keyed(n - p, p - j)]
 
-
-def cell_bases(e: int, m_max: int, w_max: int, width: int) -> list[list[list[int]]]:
-    """Keys of the basis of every cell (m, w) of the window, fewest ones first.
-
-    The basis of a cell is the partitions of w into exactly m parts with
-    fewer than e ones. Those with j ones are the partitions of w - m into
-    m - j parts, each part raised by 1, followed by j ones; j runs 0, 1,
-    ..., e - 1, so for every e' <= e the partitions with fewer than e' ones
-    are a prefix of the list. Raising every part by 1 multiplies a key by
-    2^width and each one adds 2^width, so the key is (key(lam) + j) * 2^width.
-    Each list of partitions is built once, though several cells share it.
-    """
-    memo: dict[tuple[int, int], list[int]] = {}
-
-    def keys(n: int, parts: int) -> list[int]:
-        got = memo.get((n, parts))
-        if got is None:
-            got = memo[n, parts] = [monomial_key(lam, width)
-                                    for lam in partitions_exact(n, parts)]
-        return got
-
-    return [[[(key + j) << width
-              for j in range(min(e, m + 1))
-              for key in keys(w - m, m - j)]
-             for w in range(w_max + 1)]
-            for m in range(m_max + 1)]
+    return keyed
 
 
 def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
@@ -211,12 +190,15 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
         raise ValueError("need 1 <= e <= k+1")
     if m_max < 0 or w_max < 0:
         raise ValueError("window bounds must be nonnegative")
-    # a cell has at most m_max parts, so no part count reaches 2^width and
-    # the key of mu * mono is the key of mu plus the key of mono
+    # no part count reaches 2^width in a cell, so the key of mu * mono is the
+    # key of mu plus the key of mono. Built weight by weight, ascending, each
+    # list finds the lighter ones it needs memoized, so recursion stays shallow
     width = max(m_max, 1).bit_length()
-    bases = cell_bases(e, m_max, w_max, width)
-    r_polys = {w: [(monomial_key(mono, width), mult) for mono, mult in r_polynomial(k, w)]
-               for w in range(k + 1, w_max + 1)}
+    keyed = keyed_partitions(width)
+    bases = [[[(key + j) << width for j in range(min(e, m + 1)) for key, _ in keyed(w - m, m - j)]
+              for w in range(w_max + 1)] for m in range(m_max + 1)]
+    # with k >= m_max no generator fits a cell, and its keys could carry
+    r_polys = {w: keyed(w, k + 1) for w in range(k + 1, w_max + 1)} if k < m_max else {}
     entries = []
     for m in range(m_max + 1):
         row_m = []
@@ -240,4 +222,5 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
                         rows.append(row)
             row_m.append(len(basis) - integer_matrix_rank(rows))
         entries.append(tuple(row_m))
+    keyed.cache_clear()  # the recursive closure is a reference cycle: free its memo now
     return DimensionTable(k=k, e=e, entries=tuple(entries))

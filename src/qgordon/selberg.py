@@ -134,12 +134,15 @@ def member_decoder() -> Callable[[dict], object]:
     file's term lists are freed member by member; other objects pass
     through. The series of one document share a budget of MAX_CELLS
     cells, and each declared window is charged before its table is
-    allocated. RecursionFamily.from_json_dict takes the document it
+    allocated. A series equal to the one decoded before it is returned as
+    that object, so the equal members of a tall family share one BiSeries
+    (it is immutable). RecursionFamily.from_json_dict takes the document it
     returns."""
     budget = MAX_CELLS
+    last = None
 
     def hook(obj: dict) -> object:
-        nonlocal budget
+        nonlocal budget, last
         if "terms" not in obj:
             return obj
         R, N = obj.get("x_order"), obj.get("q_order")
@@ -150,9 +153,12 @@ def member_decoder() -> Callable[[dict], object]:
                     raise ValueError(
                         f"its series declare more than MAX_CELLS={MAX_CELLS} cells in all"
                     )
-            return BiSeries.from_json_dict(obj)
+            series = BiSeries.from_json_dict(obj)
         except ValueError as exc:
             raise ValueError(f"malformed family object: {exc}") from None
+        if series != last:
+            last = series
+        return last
 
     return hook
 

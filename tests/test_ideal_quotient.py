@@ -1,6 +1,7 @@
 """The ideal-quotient route: generators, exact rank, and dimension tables."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from qgordon import (
     solve,
 )
 from qgordon import ideal_quotient
-from qgordon.ideal_quotient import cell_bases, monomial_key
+from qgordon.ideal_quotient import keyed_partitions
 
 # multisum at window (4, 10) for level 1, vacuum member; computed once by an
 # independent brute-force tuple enumeration and frozen here
@@ -48,17 +49,9 @@ def rational_rank(rows):
     return rank
 
 
-def basis_by_ones(w, m, e):
-    """Partitions of w into exactly m parts with fewer than e ones, fewest
-    ones first: the reference for the oracle's column order.
-
-    Those with j ones are the partitions of w - m into m - j parts, each part
-    raised by 1, followed by j ones; j runs 0, 1, ..., e - 1, so for every
-    e' <= e the partitions with fewer than e' ones are a prefix of the list.
-    """
-    return [tuple(p + 1 for p in lam) + (1,) * j
-            for j in range(min(e, m + 1))
-            for lam in partitions_exact(w - m, m - j)]
+def key_of(lam, width):
+    """The oracle's integer key of the monomial y_lam."""
+    return sum(1 << (width * j) for j in lam)
 
 
 def sparse(rows):
@@ -190,32 +183,24 @@ def test_integer_matrix_rank_randomized():
         assert rows == before
 
 
-def test_basis_by_ones():
-    # the partitions with fewer than e ones, each once, and the count of ones
-    # never decreasing along the list, so every smaller exponent's basis is
-    # a prefix
-    for m in range(9):
-        for w in range(21):
-            for e in range(1, 6):
-                basis = basis_by_ones(w, m, e)
-                want = [lam for lam in partitions_exact(w, m) if lam.count(1) < e]
-                assert sorted(basis) == sorted(want), (w, m, e)
-                ones = [lam.count(1) for lam in basis]
-                assert ones == sorted(ones), (w, m, e)
-
-
-def test_cell_bases_are_basis_by_ones_as_keys():
-    # the keyed columns of every cell are basis_by_ones' partitions, in the
-    # same order, and distinct monomials get distinct keys
-    m_max, w_max = 8, 20
-    width = max(m_max, 1).bit_length()
-    for e in range(1, 6):
-        bases = cell_bases(e, m_max, w_max, width)
-        for m in range(m_max + 1):
-            for w in range(w_max + 1):
-                want = [monomial_key(lam, width) for lam in basis_by_ones(w, m, e)]
-                assert bases[m][w] == want, (e, m, w)
-                assert len(set(want)) == len(want), (e, m, w)
+def test_keyed_partitions_lists_each_partition_once_fewest_ones_first():
+    # keyed(n, p) is the partitions of n into exactly p parts, each once and
+    # with its count of ones never decreasing along the list, so cutting it
+    # at e ones leaves a prefix; with p = k+1 parts its multiplicities are
+    # those of the generator r_polynomial(k, n)
+    width = 4
+    keyed = keyed_partitions(width)
+    for n in range(21):
+        for p in range(9):
+            got = keyed(n, p)
+            keys = [key for key, _ in got]
+            assert len(set(keys)) == len(keys), (n, p)
+            assert set(keys) == {key_of(lam, width) for lam in partitions_exact(n, p)}, (n, p)
+            ones = [(key >> width) & ((1 << width) - 1) for key in keys]
+            assert ones == sorted(ones), (n, p)
+            if p >= 2 and n >= p:
+                want = {key_of(lam, width): mult for lam, mult in r_polynomial(p - 1, n)}
+                assert dict(got) == want, (n, p)
 
 
 def test_ideal_span_examples():
@@ -256,10 +241,11 @@ def test_ideal_span_matches_full_span_rank(k):
                 assert table.entries[m][w] == want, (e, m, w)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_hilbert_table_at_key_width_edges(k):
     # windows at and around each step of m_max's bit length (the key width),
-    # and with m_max <= k, where no generator row exists. Only the top charge
+    # and with m_max <= k, where no generator row exists (at k=3, m_max=3 the
+    # width is 2 and the key of y_1^4 would carry). Only the top charge
     # m_max holds a part m_max times; it is checked against the full span
     # rank, and every cell against a window whose key is wider than any of
     # them needs
@@ -272,6 +258,13 @@ def test_hilbert_table_at_key_width_edges(k):
             for w in range(w_max + 1):
                 want = len(partitions_exact(w, m_max)) - full_span_dimension(k, e, m_max, w)
                 assert table.entries[m_max][w] == want, (m_max, e, w)
+
+
+def test_hilbert_table_at_weights_past_the_recursion_limit():
+    # the keyed lists are built by weight ascending, so each finds the
+    # lighter lists it needs memoized and no call recurses deeply
+    w_max = sys.getrecursionlimit() + 100
+    assert hilbert_table(1, 2, 2, w_max).to_biseries() == solve(1, 2, w_max).members[1]
 
 
 def test_hilbert_table_ranks_each_cell_once_through_the_module_global(monkeypatch):

@@ -230,6 +230,17 @@ def test_member_decoder_loads_the_family_the_plain_path_loads(k, x_order, q_orde
     assert RecursionFamily.from_json_dict(decoded) == solve(k, x_order, q_order)
 
 
+@pytest.mark.parametrize("x_order, q_order", [(0, 0), (2, 6)])
+def test_member_decoder_shares_equal_members(x_order, q_order):
+    # past the x-window every member of a tall family equals F_R, and the
+    # decoder returns a series equal to the one before it as that object, so
+    # the loaded family holds one object per distinct member, not k+1
+    decoded = json.loads(_family_text(20000, x_order, q_order), object_hook=member_decoder())
+    fam = RecursionFamily.from_json_dict(decoded)
+    assert fam == solve(20000, x_order, q_order)
+    assert len({id(f) for f in fam.members}) == len(set(fam.members)) <= x_order + 1
+
+
 def test_decoded_members_are_checked_against_the_family_window():
     obj = {"k": 1, "x_order": 0, "q_order": 0, "F": [one(0, 0), one(0, 1)]}
     with pytest.raises(ValueError, match="malformed family object"):
