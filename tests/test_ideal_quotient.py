@@ -54,6 +54,19 @@ def key_of(lam, width):
     return sum(1 << (width * j) for j in lam)
 
 
+def basis_by_ones(w, m, e):
+    """Partitions of w into exactly m parts with fewer than e ones, fewest
+    ones first: the reference for the oracle's column order.
+
+    Those with j ones are the partitions of w - m into m - j parts, each part
+    raised by 1, followed by j ones; j runs 0, 1, ..., e - 1, so for every
+    e' <= e the partitions with fewer than e' ones are a prefix of the list.
+    """
+    return [tuple(p + 1 for p in lam) + (1,) * j
+            for j in range(min(e, m + 1))
+            for lam in partitions_exact(w - m, m - j)]
+
+
 def sparse(rows):
     """Dense integer rows as the {column: coefficient} rows the rank takes."""
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
@@ -181,6 +194,37 @@ def test_integer_matrix_rank_randomized():
         before = [dict(row) for row in rows]
         assert integer_matrix_rank(rows) == rational_rank(m), m
         assert rows == before
+
+
+def test_basis_by_ones():
+    # the partitions with fewer than e ones, each once, and the count of ones
+    # never decreasing along the list, so every smaller exponent's basis is
+    # a prefix
+    for m in range(9):
+        for w in range(21):
+            for e in range(1, 6):
+                basis = basis_by_ones(w, m, e)
+                want = [lam for lam in partitions_exact(w, m) if lam.count(1) < e]
+                assert sorted(basis) == sorted(want), (w, m, e)
+                ones = [lam.count(1) for lam in basis]
+                assert ones == sorted(ones), (w, m, e)
+
+
+def test_cell_bases_are_basis_by_ones_as_keys():
+    # a cell's basis is keyed(w, m) cut at e ones: the cut is a prefix of the
+    # list, and its keys are those of basis_by_ones' partitions, each once
+    m_max, w_max = 8, 20
+    width = max(m_max, 1).bit_length()
+    keyed = keyed_partitions(width)
+    for e in range(1, 6):
+        for m in range(m_max + 1):
+            for w in range(w_max + 1):
+                keys = [key for key, _ in keyed(w, m)]
+                basis = [key for key in keys if (key >> width) & ((1 << width) - 1) < e]
+                assert basis == keys[:len(basis)], (e, m, w)
+                want = [key_of(lam, width) for lam in basis_by_ones(w, m, e)]
+                assert sorted(basis) == sorted(want), (e, m, w)
+                assert len(set(want)) == len(want), (e, m, w)
 
 
 def test_keyed_partitions_lists_each_partition_once_fewest_ones_first():
