@@ -42,10 +42,37 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # for k = 3..5 and 0.5 s at k=8, on Python 3.11 and a shared 2-core x86-64
 ORACLE_MAX_M = 12
 ORACLE_MAX_W = 30
-# verify-gordon counts partitions with transfer tables, O(n^2 log n) for each
-# n <= qmax. At q=200 it takes about 1.0 s for l=6, t=3 and 1.4 s for
-# l=t=201; with --xmax 200 the multisum dominates, about 10 s for l=t=60
+# verify-gordon counts partitions with one transfer table per counter and
+# power-of-two size, O(q^2 log q) for the whole run. At q=200 it takes about
+# 0.03 s for l=6, t=3 and 0.04 s for l=t=201; with --xmax 200 the multisum
+# dominates, about 5 s for l=t=60
 VERIFY_MAX_Q = 200
+
+
+def _first_mismatch(
+    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
+) -> tuple[int, int, int, int] | None:
+    """The first cell (m, w) where two tables of the same shape differ, as
+    (m, w, a value, b value), or None if they match."""
+    if [len(r) for r in a_rows] != [len(r) for r in b_rows]:
+        raise ValueError("compared tables must share a window")
+    for m, (ra, rb) in enumerate(zip(a_rows, b_rows)):
+        for w, (va, vb) in enumerate(zip(ra, rb)):
+            if va != vb:
+                return m, w, va, vb
+    return None
+
+
+def _report_line(
+    mismatch: tuple[int, int, int, int] | None, route_a: str, route_b: str, window: str
+) -> tuple[bool, str]:
+    """Whether a comparison matched, and its report line, which names the
+    first discrepant (m, w) and both values there."""
+    line = f"{route_a}\t{route_b}\t{window}\t"
+    if mismatch is None:
+        return True, line + "match"
+    m, w, va, vb = mismatch
+    return False, line + f"mismatch\tm={m}\tw={w}\t{route_a}={va}\t{route_b}={vb}"
 
 
 def compare(
@@ -58,14 +85,7 @@ def compare(
     """Cellwise comparison of two tables of the same shape, rows indexed by
     m and columns by w; a sequence is a one-row table. Returns whether they
     match and the report line, which names the first discrepant (m, w)."""
-    if [len(r) for r in a_rows] != [len(r) for r in b_rows]:
-        raise ValueError("compared tables must share a window")
-    line = f"{route_a}\t{route_b}\t{window}\t"
-    for m, (ra, rb) in enumerate(zip(a_rows, b_rows)):
-        for w, (va, vb) in enumerate(zip(ra, rb)):
-            if va != vb:
-                return False, line + f"mismatch\tm={m}\tw={w}\t{route_a}={va}\t{route_b}={vb}"
-    return True, line + "match"
+    return _report_line(_first_mismatch(a_rows, b_rows), route_a, route_b, window)
 
 
 def _rows(series: BiSeries) -> list[tuple[int, ...]]:
@@ -170,24 +190,38 @@ def _crosscheck_comparisons(k: int, mmax: int, wmax: int) -> Iterator[tuple[bool
     # linear term N_(i+1) + ... + N_k reaches it: those members share the
     # tables built for i = min(mmax, wmax); one progress line names them all
     shared = min(mmax, wmax)
+    # members that share their three tables share the searches too: they run
+    # again only when solve's member or the other two tables are new objects
+    member = None
     for e in range(1, k + 2):
         i = e - 1
-        solver = _rows(fam.members[i])
+        fresh = fam.members[i] is not member
+        if fresh:
+            # solve shares the members above the x-window as one object
+            member = fam.members[i]
+            solver = _rows(member)
         if i <= shared:
             print(f"crosscheck e={e} ({window})", file=sys.stderr)
             multisum = _rows(andrews_gordon_multisum(k, i, mmax, wmax))
             table = hilbert_table(k, e, mmax, wmax).entries
+            fresh = True
         elif i == shared + 1:
             print(
                 f"crosscheck e={e}..{k + 1} ({window}), sharing the tables of e={e - 1}",
                 file=sys.stderr,
             )
+        if fresh:
+            found = (
+                _first_mismatch(solver, multisum),
+                _first_mismatch(solver, table),
+                _first_mismatch(multisum, table),
+            )
         a = f"solve[F{i}]"
         b = f"multisum[i={i}]"
         c = f"ideal-quotient[e={e}]"
-        yield compare(solver, multisum, a, b, window)
-        yield compare(solver, table, a, c, window)
-        yield compare(multisum, table, b, c, window)
+        yield _report_line(found[0], a, b, window)
+        yield _report_line(found[1], a, c, window)
+        yield _report_line(found[2], b, c, window)
 
 
 def cmd_check_recursions(args: argparse.Namespace) -> int:

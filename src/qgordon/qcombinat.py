@@ -17,7 +17,9 @@ The counts use no generating function and no series arithmetic, so they
 stay an independent check on the product and the multisum. The Gordon
 count is a transfer over part sizes in frequency form, the congruence count
 a table over (weight left, smallest admissible part); both take polynomial
-time and neither recurses. The table by number of parts runs the same
+time and neither recurses. Each fills every weight up to its size at once,
+so the counters keep that whole row, built once per power-of-two size, and
+answer each n from it. The table by number of parts runs the same
 transfer once with the parts so far in its state, and lists nothing.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .series import BiSeries, div_one_minus_q_power
 
@@ -145,34 +148,51 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
 def count_gordon_partitions(cond: GordonCondition, n: int) -> int:
     """Number of partitions of n meeting the Gordon difference/ones condition.
 
-    In frequency form (f_j parts equal to j) the condition reads f_1 <= t-1
-    and f_j + f_(j+1) <= l-1: l consecutive parts differ by at most 1 exactly
-    when they all lie in some {j, j+1}. A transfer over part sizes j = 1..n
-    keeps, for each value of f_j, the number of choices f_1..f_j at each
-    weight so far; the next size may take any f_(j+1) <= l-1-f_j, so one
-    prefix sum over f_j serves every f_(j+1). Since f_j <= n // j, a level
-    far beyond n costs nothing extra, and the work is O(n^2 log n).
+    A lookup into the weight row of _gordon_weights at the least power of
+    two >= n. A sweep over n = 0..q builds that row only at sizes 1, 2, 4,
+    ..., so it costs about twice one transfer at q, O(q^2 log q) in all.
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    return _gordon_weights(cond, _table_size(n))[n]
+
+
+def _table_size(n: int) -> int:
+    """The least power of two >= n: the size at which the counters build
+    the weight row that answers n."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
+@lru_cache(maxsize=64)
+def _gordon_weights(cond: GordonCondition, size: int) -> tuple[int, ...]:
+    """Numbers of Gordon partitions of each weight 0..size.
+
+    In frequency form (f_j parts equal to j) the condition reads f_1 <= t-1
+    and f_j + f_(j+1) <= l-1: l consecutive parts differ by at most 1 exactly
+    when they all lie in some {j, j+1}. A transfer over part sizes j = 1..size
+    keeps, for each value of f_j, the number of choices f_1..f_j at each
+    weight so far; the next part size may take any f_(j+1) <= l-1-f_j, so one
+    prefix sum over f_j serves every f_(j+1). Since f_j <= size // j, a level
+    far beyond size costs nothing extra, and the work is O(size^2 log size).
+    """
     k = cond.l - 1
     # rows[f][w]: choices of f_1..f_j with f_j = f and weight w, here j = 1
-    rows = [[0] * (n + 1) for _ in range(min(cond.t - 1, n) + 1)]
+    rows = [[0] * (size + 1) for _ in range(min(cond.t - 1, size) + 1)]
     for f, row in enumerate(rows):
         row[f] = 1
-    for j in range(2, n + 1):
+    for j in range(2, size + 1):
         # at_most[g][w]: the same choices with f_(j-1) <= g
         at_most = []
-        acc = [0] * (n + 1)
+        acc = [0] * (size + 1)
         for row in rows:
             acc = [a + b for a, b in zip(acc, row)]
             at_most.append(acc)
         top = len(rows) - 1
         rows = [
-            [0] * (f * j) + at_most[min(k - f, top)][: n + 1 - f * j]
-            for f in range(min(k, n // j) + 1)
+            [0] * (f * j) + at_most[min(k - f, top)][: size + 1 - f * j]
+            for f in range(min(k, size // j) + 1)
         ]
-    return sum(row[n] for row in rows)
+    return tuple(map(sum, zip(*rows)))
 
 
 def gordon_partition_table(cond: GordonCondition, x_order: int, q_order: int) -> BiSeries:
@@ -180,7 +200,7 @@ def gordon_partition_table(cond: GordonCondition, x_order: int, q_order: int) ->
     the number of partitions of n into exactly m parts meeting the Gordon
     condition, for every m <= x_order and n <= q_order.
 
-    The transfer of count_gordon_partitions, run once with each weight row
+    The transfer of _gordon_weights, run once with each weight row
     split into rows over the number of parts so far; states with more parts
     than the window holds are dropped. Every part weighs at least 1, so no
     partition in the window has more than q_order parts, and the rows past
@@ -215,25 +235,36 @@ def gordon_partition_table(cond: GordonCondition, x_order: int, q_order: int) ->
 def count_congruence_partitions(cond: GordonCondition, n: int) -> int:
     """Number of partitions of n into parts not congruent to 0, +-t mod 2l+1.
 
+    A lookup into the weight row of _congruence_weights at the least power
+    of two >= n, so a sweep over n = 0..q costs about twice one table at q,
+    O(q^2) in all.
+    """
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return _congruence_weights(cond, _table_size(n))[n]
+
+
+@lru_cache(maxsize=64)
+def _congruence_weights(cond: GordonCondition, size: int) -> tuple[int, ...]:
+    """Numbers of partitions into admissible parts of each weight 0..size.
+
     A table over (weight left, smallest admissible part allowed), filled
     by increasing weight: a partition of r into admissible parts that are
     all at least parts[s] either has no part equal to parts[s], or has one
     and the rest is such a partition of r - parts[s]. Each entry costs one
-    addition, so the work is O(n^2) and no generating function is involved.
+    addition, so the work is O(size^2) and no generating function is involved.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    parts = [p for p in range(1, n + 1) if cond.allows_part(p)]
+    parts = [p for p in range(1, size + 1) if cond.allows_part(p)]
     # at_least[r][s]: partitions of r into admissible parts >= parts[s];
     # the last column, past every part, counts only the empty partition
     at_least = [[1] * (len(parts) + 1)]
-    for r in range(1, n + 1):
+    for r in range(1, size + 1):
         # entries for parts above r stay 0
         row = [0] * (len(parts) + 1)
         for s in reversed(range(bisect_right(parts, r))):
             row[s] = row[s + 1] + at_least[r - parts[s]][s]
         at_least.append(row)
-    return at_least[n][0]
+    return tuple(row[0] for row in at_least)
 
 
 def min_gordon_weight(level: int, m: int) -> int:

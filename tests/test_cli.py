@@ -1,5 +1,6 @@
 """Command line surface: exit codes, formats, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -306,6 +307,61 @@ def test_tall_crosscheck_within_a_memory_cap():
     assert all(line.endswith("\tmatch") for line in lines)
 
 
+def test_crosscheck_reports_a_fault_in_the_shared_table_for_every_member(
+    capsys, monkeypatch
+):
+    # at mmax=3 the members i = 3..12 share the ideal-quotient table of e=4,
+    # and the searches that compare it; each still reports its own line
+    table = cli.hilbert_table
+
+    def faulty(k, e, m_max, w_max):
+        t = table(k, e, m_max, w_max)
+        if e < 4:
+            return t
+        entries = [list(row) for row in t.entries]
+        entries[2][7] += 1
+        return type(t)(t.k, t.e, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(cli, "hilbert_table", faulty)
+    code, out, _ = run(capsys, "crosscheck", "--k", "12", "--mmax", "3", "--wmax", "10")
+    assert code == 1
+    window = "x<=3,q<=10"
+    lines = out.splitlines()
+    assert len(lines) == 39
+    assert all(line.endswith("\tmatch") for line in lines[:9])
+    for i in range(3, 13):
+        a, b, c = f"solve[F{i}]", f"multisum[i={i}]", f"ideal-quotient[e={i + 1}]"
+        assert lines[3 * i : 3 * i + 3] == [
+            f"{a}\t{b}\t{window}\tmatch",
+            f"{a}\t{c}\t{window}\tmismatch\tm=2\tw=7\t{a}=3\t{c}=4",
+            f"{b}\t{c}\t{window}\tmismatch\tm=2\tw=7\t{b}=3\t{c}=4",
+        ]
+
+
+def test_crosscheck_searches_again_for_a_member_of_its_own(capsys, monkeypatch):
+    # at mmax=3 solve's members 3..11 are one object but member 12 is its
+    # own, so a fault there is found although it shares the other two tables
+    real = cli.solve
+
+    def faulty(k, x_order, q_order):
+        fam = real(k, x_order, q_order)
+        bad = fam.members[k] + qgordon.monomial(2, 7, x_order, q_order)
+        return dataclasses.replace(fam, members=fam.members[:k] + (bad,))
+
+    monkeypatch.setattr(cli, "solve", faulty)
+    code, out, _ = run(capsys, "crosscheck", "--k", "12", "--mmax", "3", "--wmax", "10")
+    assert code == 1
+    window = "x<=3,q<=10"
+    lines = out.splitlines()
+    assert all(line.endswith("\tmatch") for line in lines[:36])
+    a, b, c = "solve[F12]", "multisum[i=12]", "ideal-quotient[e=13]"
+    assert lines[36:] == [
+        f"{a}\t{b}\t{window}\tmismatch\tm=2\tw=7\t{a}=4\t{b}=3",
+        f"{a}\t{c}\t{window}\tmismatch\tm=2\tw=7\t{a}=4\t{c}=3",
+        f"{b}\t{c}\t{window}\tmatch",
+    ]
+
+
 def test_crosscheck_names_the_members_that_share_tables_once(capsys):
     # members i <= min(mmax, wmax) = 2 build their own tables and get one
     # progress line each; e = 4..7 share the tables of e = 3 and get one in all
@@ -543,6 +599,14 @@ PINNED_STDOUT = [
      "72b9ce83f70d7b08f3eaa61e0b0dcaee5e454028807761b54b892cc3921a18f7"),
     (("verify-gordon", "--l", "6", "--t", "3", "--qmax", "50"), 0,
      "4dc9624eb15b76cc9724587b3e9c283a55c8d9a5e2ec852893db4c991d50496a"),
+    # at VERIFY_MAX_Q: a middle level, the tallest level the bound names, and
+    # the second Rogers-Ramanujan identity
+    (("verify-gordon", "--l", "6", "--t", "3", "--qmax", "200"), 0,
+     "3d73487af0789e15f99ca61bbe154f8889240027f2a44341a5b7e60ec90d6dbc"),
+    (("verify-gordon", "--l", "201", "--t", "201", "--qmax", "200"), 0,
+     "fbe35c14dd0d80edb3abfb0fe88838ab9e2907093b50196cedc3b6cd68645da4"),
+    (("verify-gordon", "--l", "2", "--t", "1", "--qmax", "200"), 0,
+     "ef63b8cc63960f51d96859bcc49466b3f8c9c3163b502917e67ab0d40ef11526"),
     (("crosscheck", "--k", "2", "--mmax", "6", "--wmax", "16"), 0,
      "9e816b39a4da33a4a67db92c961076abed75b437db210280d68b0230adeb33bf"),
     # members i = 3..12 share one multisum and one ideal-quotient table

@@ -1,7 +1,9 @@
 """Pochhammer symbols, Gordon products, multisums, and partition counting."""
 
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
+from math import ceil, log2
 from typing import Iterator
 
 import pytest
@@ -19,6 +21,7 @@ from qgordon import (
     monomial,
     one,
 )
+from qgordon import cli, qcombinat
 from qgordon.series import div_one_minus_q_power
 
 
@@ -328,6 +331,80 @@ def test_counts_against_the_product(l, t, n_max):
     product = list(gordon_product(cond, n_max).row(0))
     assert [count_gordon_partitions(cond, n) for n in range(n_max + 1)] == product
     assert [count_congruence_partitions(cond, n) for n in range(n_max + 1)] == product
+
+
+# The counters answer each n from a weight row built once per power-of-two
+# size, so each weight is checked on both sides of the sizes 64 and 128.
+# Past 65 the Gordon enumerator takes seconds per weight even at l=2, t=1,
+# so there both counts are checked against the congruence enumeration,
+# which Gordon's identity makes equal to the Gordon count.
+ORDER_CONDITIONS = [(2, 1), (2, 2), (3, 1)]
+ORDER_WEIGHTS = [0, 1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65]
+ORDER_TALL_WEIGHTS = [127, 128, 129]
+
+
+@pytest.fixture(scope="module")
+def enumerated_counts():
+    """(l, t, n) -> (Gordon count, congruence count), both enumerated."""
+    counts = {}
+    for l, t in ORDER_CONDITIONS:
+        cond = GordonCondition(l, t)
+        for n in ORDER_WEIGHTS:
+            gordon = sum(1 for _ in iter_gordon_partitions(cond, n))
+            counts[l, t, n] = gordon, enumerated_congruence_count(cond, n)
+    congruence = {n: enumerated_congruence_count(GordonCondition(2, 1), n)
+                  for n in ORDER_TALL_WEIGHTS}
+    counts.update({(2, 1, n): (c, c) for n, c in congruence.items()})
+    return counts
+
+
+def _calls(order, rng):
+    """(l, t, n) in the named order, over every enumerated weight."""
+    cases = [(l, t, n) for l, t in ORDER_CONDITIONS for n in ORDER_WEIGHTS]
+    cases = sorted(cases + [(2, 1, n) for n in ORDER_TALL_WEIGHTS])
+    if order == "ascending":
+        return cases
+    if order == "descending":
+        return sorted(cases, key=lambda c: (c[:2], -c[2]))
+    if order == "shuffled":
+        rng.shuffle(cases)
+        return cases
+    if order == "repeated":
+        return [c for c in cases for _ in range(3)]
+    # interleaved: the conditions take turns, each in a shuffled order of
+    # its own weights
+    by_condition = [[c for c in cases if c[:2] == lt] for lt in ORDER_CONDITIONS]
+    for calls in by_condition:
+        rng.shuffle(calls)
+    out = []
+    while any(by_condition):
+        for calls in by_condition:
+            if calls:
+                out.append(calls.pop())
+    return out
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated",
+                                   "interleaved"])
+def test_counts_do_not_depend_on_call_order(order, enumerated_counts):
+    qcombinat._gordon_weights.cache_clear()
+    qcombinat._congruence_weights.cache_clear()
+    calls = _calls(order, random.Random(order))
+    assert sorted(set(calls)) == sorted(enumerated_counts)
+    for l, t, n in calls:
+        cond = GordonCondition(l, t)
+        got = count_gordon_partitions(cond, n), count_congruence_partitions(cond, n)
+        assert got == enumerated_counts[l, t, n], (l, t, n)
+
+
+def test_verify_gordon_builds_few_tables(capsys):
+    # q = 0..200 needs the sizes 1, 2, 4, ..., 256 and nothing else
+    qcombinat._gordon_weights.cache_clear()
+    qcombinat._congruence_weights.cache_clear()
+    assert cli.main(["verify-gordon", "--l", "6", "--t", "3", "--qmax", "200"]) == 0
+    assert capsys.readouterr().out.count("\tmatch\n") == 3
+    for helper in (qcombinat._gordon_weights, qcombinat._congruence_weights):
+        assert 0 < helper.cache_info().misses <= ceil(log2(200)) + 2
 
 
 def test_count_edge_cases():
