@@ -52,8 +52,9 @@ VERIFY_MAX_Q = 200
 def _first_mismatch(
     a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]]
 ) -> tuple[int, int, int, int] | None:
-    """The first cell (m, w) where two tables of the same shape differ, as
-    (m, w, a value, b value), or None if they match."""
+    """The first cell (m, w) where two tables of the same shape differ, rows
+    indexed by m and columns by w, as (m, w, a value, b value), or None if
+    they match; a sequence is a one-row table."""
     if [len(r) for r in a_rows] != [len(r) for r in b_rows]:
         raise ValueError("compared tables must share a window")
     for m, (ra, rb) in enumerate(zip(a_rows, b_rows)):
@@ -73,19 +74,6 @@ def _report_line(
         return True, line + "match"
     m, w, va, vb = mismatch
     return False, line + f"mismatch\tm={m}\tw={w}\t{route_a}={va}\t{route_b}={vb}"
-
-
-def compare(
-    a_rows: Sequence[Sequence[int]],
-    b_rows: Sequence[Sequence[int]],
-    route_a: str,
-    route_b: str,
-    window: str,
-) -> tuple[bool, str]:
-    """Cellwise comparison of two tables of the same shape, rows indexed by
-    m and columns by w; a sequence is a one-row table. Returns whether they
-    match and the report line, which names the first discrepant (m, w)."""
-    return _report_line(_first_mismatch(a_rows, b_rows), route_a, route_b, window)
 
 
 def _rows(series: BiSeries) -> list[tuple[int, ...]]:
@@ -144,17 +132,14 @@ def cmd_verify_gordon(args: argparse.Namespace) -> int:
     # q^n are still complete while every dropped partition outweighs n
     lossless = min(qmax, min_gordon_weight(k, xmax + 1) - 1)
     multisum = andrews_gordon_multisum(k, i, xmax, qmax)
-    specialized, _ = specialize_x(multisum, "x=1")
+    specialized = specialize_x(multisum, "x=1")[0].row(0)
     return _report([
-        compare([gordon], [congruence], "gordon-count", "congruence-count", window),
-        compare([congruence], [product], "congruence-count", "product", window),
-        compare(
-            [product[: lossless + 1]],
-            [specialized.row(0)[: lossless + 1]],
-            "product",
-            "multisum(x=1)",
-            f"q<={lossless}",
-        ),
+        _report_line(_first_mismatch([gordon], [congruence]),
+                     "gordon-count", "congruence-count", window),
+        _report_line(_first_mismatch([congruence], [product]),
+                     "congruence-count", "product", window),
+        _report_line(_first_mismatch([product[: lossless + 1]], [specialized[: lossless + 1]]),
+                     "product", "multisum(x=1)", f"q<={lossless}"),
     ])
 
 

@@ -197,8 +197,6 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     keyed = keyed_partitions(width)
     bases = [[[(key + j) << width for j in range(min(e, m + 1)) for key, _ in keyed(w - m, m - j)]
               for w in range(w_max + 1)] for m in range(m_max + 1)]
-    # with k >= m_max no generator fits a cell, and its keys could carry
-    r_polys = {w: keyed(w, k + 1) for w in range(k + 1, w_max + 1)} if k < m_max else {}
     entries = []
     for m in range(m_max + 1):
         row_m = []
@@ -211,7 +209,7 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
             # The products of one mu with distinct monomials are distinct, so
             # each column of a row is set once
             for w_gen in range(k + 1, w + 1) if m > k else ():
-                r_poly = r_polys[w_gen]
+                r_poly = keyed(w_gen, k + 1)
                 for mu in bases[m - k - 1][w - w_gen]:
                     row: dict[int, int] = {}
                     for mono, mult in r_poly:

@@ -17,8 +17,8 @@ dividing by 1 - q^m in place; then
 a_(0,m) = q^m a_(k,m) and a_(i,m) = a_(i-1,m) + q^m a_(k-i,m-i) fill in the
 rest. Every step is exact in the truncated ring. For m < i the last term has
 no x-degree m-i, so a_(i,m) = a_(i-1,m): on a window of x-degree R every
-member R < i < k equals F_R, and ``solve`` stores each such row once and
-hands back F_R's object for those members.
+member R < i <= k equals F_R. ``solve`` keeps each x^m row once, F_k's rows
+in the same table as the others, and hands back F_R's object for those members.
 
 ``check_recursions`` re-evaluates all k+1 residuals from scratch, so a
 solved family is always audited against the system itself rather than
@@ -173,23 +173,24 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
     if x_order < 0 or q_order < 0:
         raise ValueError("orders must be nonnegative")
     R, N = x_order, q_order
-    # rows[m]: the x^m rows of F_0 ... F_min(m, k-1), of which member i < k
-    # reads rows[m][min(i, m)]; top_rows: the rows of F_k
-    start = (1,) + (0,) * N
-    rows, top_rows = [[start]], [start]
+    # rows[m]: the x^m rows of F_0 ... F_min(m, k), of which member i reads
+    # rows[m][min(i, m)]; F_k's row is the division row once m >= k
+    rows = [[(1,) + (0,) * N]]
     for m in range(1, R + 1):
         bumps = [shift_row(rows[m - i][min(k - i, m - i)], m) for i in range(1, min(k, m) + 1)]
         top = [sum(column) for column in zip(*bumps)]
         div_one_minus_q_power(top, m)
-        top_rows.append(tuple(top))
+        top = tuple(top)
         row = [shift_row(top, m)]
         for bump in bumps[: k - 1]:
             row.append(tuple(map(add, row[-1], bump)))
+        if m >= k:
+            row.append(top)
         rows.append(row)
-    lower = [BiSeries._of(rows[m][min(i, m)] for m in range(R + 1))
-             for i in range(min(k - 1, R) + 1)]
-    members = tuple(lower + [lower[-1]] * (k - len(lower)) + [BiSeries._of(top_rows)])
-    return RecursionFamily(k=k, x_order=R, q_order=N, members=members)
+    members = [BiSeries._of(rows[m][min(i, m)] for m in range(R + 1))
+               for i in range(min(k, R) + 1)]
+    members += members[-1:] * (k - R)
+    return RecursionFamily(k=k, x_order=R, q_order=N, members=tuple(members))
 
 
 # -- residual checks --------------------------------------------------------------

@@ -327,20 +327,18 @@ def specialize_x(series: BiSeries, mode: str) -> tuple[BiSeries, int]:
     where dropped counts the nonzero terms lost at the truncation boundary.
     The caller decides whether a nonzero drop count matters.
     """
+    if mode == "x=1":
+        return BiSeries._of([tuple(map(sum, zip(*series._rows)))]), 0
+    if mode != "x=q":
+        raise ValueError(f"unknown specialization mode {mode!r}; use 'x=1' or 'x=q'")
     N = series.q_order
+    if series.x_order > N:
+        raise ValueError("x=q specialization requires x_order <= q_order")
     out = [0] * (N + 1)
     dropped = 0
-    if mode == "x=1":
-        for _a, b, c in series.terms():
-            out[b] += c
-    elif mode == "x=q":
-        if series.x_order > N:
-            raise ValueError("x=q specialization requires x_order <= q_order")
-        for a, b, c in series.terms():
-            if a + b <= N:
-                out[a + b] += c
-            else:
-                dropped += 1
-    else:
-        raise ValueError(f"unknown specialization mode {mode!r}; use 'x=1' or 'x=q'")
+    for a, b, c in series.terms():
+        if a + b <= N:
+            out[a + b] += c
+        else:
+            dropped += 1
     return BiSeries._of([tuple(out)]), dropped

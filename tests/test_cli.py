@@ -339,8 +339,9 @@ def test_crosscheck_reports_a_fault_in_the_shared_table_for_every_member(
 
 
 def test_crosscheck_searches_again_for_a_member_of_its_own(capsys, monkeypatch):
-    # at mmax=3 solve's members 3..11 are one object but member 12 is its
-    # own, so a fault there is found although it shares the other two tables
+    # at mmax=3 solve's members 3..12 are one object; the injected fault
+    # makes member 12 its own, and it is found although it shares the other
+    # two tables
     real = cli.solve
 
     def faulty(k, x_order, q_order):

@@ -146,13 +146,26 @@ def test_window_extension_consistency():
 )
 def test_members_past_the_x_window_are_member_R(k, R, N):
     # a_(i,m) = a_(i-1,m) below x-degree i, so on an x-window R every member
-    # R < i < k equals F_R; solve hands back F_R's object for those and
-    # builds every other member itself (none is shared when k <= R + 1)
+    # R < i <= k equals F_R; solve hands back F_R's object for those and
+    # builds every other member itself (none is shared when k <= R)
     fam = solve(k, R, N)
-    shared = [i for i in range(k + 1) if R < i < k]
+    shared = [i for i in range(k + 1) if R < i <= k]
     assert all(fam.members[i] is fam.members[R] for i in shared)
     assert len({id(f) for f in fam.members}) == k + 1 - len(shared)
     assert all(res.is_zero() for res in check_recursions(fam))
+
+
+@pytest.mark.parametrize(
+    "k, R, N", [(3, 4, 14), (4, 4, 14), (5, 4, 14), (6, 4, 14), (1, 0, 14), (2, 0, 14)]
+)
+def test_top_member_at_the_x_window_edge(k, R, N):
+    # F_k's rows sit in solve's row table from x-degree k on: at k <= R it is
+    # built from them as its own object, at k > R it is F_R's object
+    fam = solve(k, R, N)
+    for i, member in enumerate(fam.members):
+        assert member == andrews_gordon_multisum(k, i, R, N)
+    others = fam.members[:k]
+    assert all(fam.members[k] is not f for f in others) == (k <= R)
 
 
 def test_monotone_and_nonnegative():

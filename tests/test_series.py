@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qgordon import (
     BiSeries,
@@ -158,6 +159,48 @@ def test_specialize_xq_drop_count():
     sq, dropped = specialize_x(s, "x=q")
     assert dropped == 2  # both high terms land past q^3
     assert sq == one(0, 3)
+
+
+def per_term_specialization(series, mode):
+    """specialize_x's q-coefficients and drop count, term by term through
+    coeff(): x=1 keeps q^b, x=q moves x^a q^b to q^(a+b)."""
+    N = series.q_order
+    out = [0] * (N + 1)
+    dropped = 0
+    for a in range(series.x_order + 1):
+        for b in range(N + 1):
+            c = series.coeff(a, b)
+            target = b if mode == "x=1" else a + b
+            if target <= N:
+                out[target] += c
+            elif c:
+                dropped += 1
+    return out, dropped
+
+
+@st.composite
+def series_with_signs(draw):
+    N = draw(st.integers(0, 6))
+    R = draw(st.integers(0, 7))
+    cells = st.lists(st.integers(-9, 9), min_size=N + 1, max_size=N + 1)
+    return BiSeries(R, N, draw(st.lists(cells, min_size=R + 1, max_size=R + 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(series_with_signs(), st.sampled_from(["x=1", "x=q"]))
+@example(BiSeries(0, 0, [[-3]]), "x=1")
+@example(BiSeries(0, 0, [[-3]]), "x=q")
+@example(BiSeries(2, 2, [[1, -2, 3], [-4, 5, -6], [7, -8, 9]]), "x=1")
+@example(BiSeries(2, 2, [[1, -2, 3], [-4, 5, -6], [7, -8, 9]]), "x=q")
+def test_specialize_x_matches_the_per_term_sum(series, mode):
+    if mode == "x=q" and series.x_order > series.q_order:
+        with pytest.raises(ValueError):
+            specialize_x(series, mode)
+        return
+    spec, dropped = specialize_x(series, mode)
+    out, expected_dropped = per_term_specialization(series, mode)
+    assert spec == BiSeries(0, series.q_order, [out])
+    assert dropped == expected_dropped
 
 
 def test_specialize_xq_requires_wide_q_window():
