@@ -76,6 +76,14 @@ def _report_line(
     return False, line + f"mismatch\tm={m}\tw={w}\t{route_a}={va}\t{route_b}={vb}"
 
 
+def _residual_line(label: str, residual: BiSeries) -> tuple[bool, str]:
+    """Whether a residual vanished, and its report line, which names its
+    first nonzero (m, w) and the value there."""
+    for m, w, value in residual.terms():
+        return False, f"{label}\tnonzero\tm={m}\tw={w}\tvalue={value}"
+    return True, f"{label}\tzero"
+
+
 def _rows(series: BiSeries) -> list[tuple[int, ...]]:
     return [series.row(a) for a in range(series.x_order + 1)]
 
@@ -178,24 +186,21 @@ def _crosscheck_comparisons(k: int, mmax: int, wmax: int) -> Iterator[tuple[bool
     # members that share their three tables share the searches too: they run
     # again only when solve's member or the other two tables are new objects
     member = None
-    for e in range(1, k + 2):
-        i = e - 1
-        fresh = fam.members[i] is not member
-        if fresh:
-            # solve shares the members above the x-window as one object
-            member = fam.members[i]
-            solver = _rows(member)
+    for i, F in enumerate(fam.members):
+        e = i + 1
         if i <= shared:
             print(f"crosscheck e={e} ({window})", file=sys.stderr)
             multisum = _rows(andrews_gordon_multisum(k, i, mmax, wmax))
             table = hilbert_table(k, e, mmax, wmax).entries
-            fresh = True
         elif i == shared + 1:
             print(
                 f"crosscheck e={e}..{k + 1} ({window}), sharing the tables of e={e - 1}",
                 file=sys.stderr,
             )
-        if fresh:
+        if i <= shared or F is not member:
+            # solve shares the members above the x-window as one object
+            member = F
+            solver = _rows(member)
             found = (
                 _first_mismatch(solver, multisum),
                 _first_mismatch(solver, table),
@@ -222,17 +227,8 @@ def cmd_check_recursions(args: argparse.Namespace) -> int:
         fam = RecursionFamily.from_json_dict(obj)
     except (OSError, ValueError, RecursionError) as exc:
         return _usage(f"cannot load family from {args.input!r}: {exc}")
-    residuals = check_recursions(fam)
     labels = chain((f"difference-eq[i={i}]" for i in range(1, fam.k + 1)), ["shift-eq"])
-    all_zero = True
-    for label, res in zip(labels, residuals):
-        if res.is_zero():
-            print(f"{label}\tzero")
-        else:
-            a, b, c = next(res.terms())
-            print(f"{label}\tnonzero\tm={a}\tw={b}\tvalue={c}")
-            all_zero = False
-    return 0 if all_zero else 1
+    return _report(map(_residual_line, labels, check_recursions(fam)))
 
 
 # -- parser ---------------------------------------------------------------------

@@ -110,6 +110,9 @@ class RecursionFamily:
         object_hook=member_decoder(), so that its members are already
         BiSeries: k+1 of them, each at the window (x_order, q_order).
         Any other document raises ValueError("malformed family object: ...")."""
+        if not isinstance(obj, dict):
+            raise ValueError("malformed family object: the document must be "
+                             "a JSON object with k, x_order, q_order and F")
         try:
             k, R, N, F = obj["k"], obj["x_order"], obj["q_order"], obj["F"]
             if type(k) is not int or type(R) is not int or type(N) is not int:

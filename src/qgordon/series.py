@@ -7,12 +7,14 @@ so every operation is exact: there is no floating point and no overflow
 anywhere in this package. A product term falling outside the window is
 discarded; every retained coefficient is the true one.
 
-Values are immutable after construction and safe to share.
+A BiSeries is a frozen dataclass: equal by value, hashable, and safe to
+share, copy and pickle.
 """
 
 from __future__ import annotations
 
 import reprlib
+from dataclasses import dataclass
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -58,10 +60,13 @@ def div_one_minus_q_power(row: list[int], i: int) -> None:
         row[b] += row[b - i]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BiSeries:
     """Dense truncated series sum_{a<=R, b<=N} c[a][b] * x^a * q^b."""
 
-    __slots__ = ("x_order", "q_order", "_rows")
+    x_order: int
+    q_order: int
+    _rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, x_order: int, q_order: int, rows: Iterable[Iterable[int]]):
         if x_order < 0 or q_order < 0:
@@ -92,9 +97,6 @@ class BiSeries:
         object.__setattr__(self, "_rows", frozen)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
     # -- access ------------------------------------------------------------
 
     def coeff(self, a: int, b: int) -> int:
@@ -116,18 +118,6 @@ class BiSeries:
 
     def is_zero(self) -> bool:
         return not any(map(any, self._rows))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return (
-            self.x_order == other.x_order
-            and self.q_order == other.q_order
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x_order, self.q_order, self._rows))
 
     def __repr__(self) -> str:
         n = sum(1 for _ in self.terms())

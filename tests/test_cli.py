@@ -363,6 +363,84 @@ def test_crosscheck_searches_again_for_a_member_of_its_own(capsys, monkeypatch):
     ]
 
 
+def _crosscheck_below_the_x_window(capsys):
+    """crosscheck at k=8 and the window (6, 3): shared = 3 < R = 6, so solve's
+    members 4..6 are objects of their own, checked against the tables of e=4."""
+    code, out, _ = run(capsys, "crosscheck", "--k", "8", "--mmax", "6", "--wmax", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 27
+    return lines
+
+
+def test_crosscheck_finds_a_fault_in_a_member_of_its_own_below_the_x_window(
+    capsys, monkeypatch
+):
+    real = cli.solve
+
+    def faulty(k, x_order, q_order):
+        fam = real(k, x_order, q_order)
+        bad = fam.members[5] + qgordon.monomial(2, 3, x_order, q_order)
+        return dataclasses.replace(fam, members=fam.members[:5] + (bad,) + fam.members[6:])
+
+    monkeypatch.setattr(cli, "solve", faulty)
+    lines = _crosscheck_below_the_x_window(capsys)
+    window = "x<=6,q<=3"
+    a, b, c = "solve[F5]", "multisum[i=5]", "ideal-quotient[e=6]"
+    assert lines[15:18] == [
+        f"{a}\t{b}\t{window}\tmismatch\tm=2\tw=3\t{a}=2\t{b}=1",
+        f"{a}\t{c}\t{window}\tmismatch\tm=2\tw=3\t{a}=2\t{c}=1",
+        f"{b}\t{c}\t{window}\tmatch",
+    ]
+    assert all(line.endswith("\tmatch") for line in lines[:15] + lines[18:])
+
+
+def test_crosscheck_finds_a_fault_in_the_shared_table_below_the_x_window(
+    capsys, monkeypatch
+):
+    table = cli.hilbert_table
+
+    def faulty(k, e, m_max, w_max):
+        t = table(k, e, m_max, w_max)
+        if e != 4:
+            return t
+        entries = [list(row) for row in t.entries]
+        entries[2][3] += 1
+        return type(t)(t.k, t.e, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(cli, "hilbert_table", faulty)
+    lines = _crosscheck_below_the_x_window(capsys)
+    window = "x<=6,q<=3"
+    assert all(line.endswith("\tmatch") for line in lines[:9])
+    for i in range(3, 9):
+        a, b, c = f"solve[F{i}]", f"multisum[i={i}]", f"ideal-quotient[e={i + 1}]"
+        assert lines[3 * i : 3 * i + 3] == [
+            f"{a}\t{b}\t{window}\tmatch",
+            f"{a}\t{c}\t{window}\tmismatch\tm=2\tw=3\t{a}=1\t{c}=2",
+            f"{b}\t{c}\t{window}\tmismatch\tm=2\tw=3\t{b}=1\t{c}=2",
+        ]
+
+
+def test_crosscheck_compares_a_wrongly_shared_member_with_its_own_tables(
+    capsys, monkeypatch
+):
+    # the tables follow i <= min(mmax, wmax), not solve's object identity: a
+    # solver that handed back F1's object as F2 is still checked against the
+    # tables of e=3
+    real = cli.solve
+
+    def faulty(k, x_order, q_order):
+        fam = real(k, x_order, q_order)
+        return dataclasses.replace(fam, members=fam.members[:2] + fam.members[1:2])
+
+    monkeypatch.setattr(cli, "solve", faulty)
+    code, out, _ = run(capsys, "crosscheck", "--k", "2", "--mmax", "3", "--wmax", "8")
+    assert code == 1
+    lines = out.splitlines()
+    assert all(line.endswith("\tmatch") for line in lines[:6])
+    assert [line.split("\t")[3] for line in lines[6:]] == ["mismatch", "mismatch", "match"]
+
+
 def test_crosscheck_names_the_members_that_share_tables_once(capsys):
     # members i <= min(mmax, wmax) = 2 build their own tables and get one
     # progress line each; e = 4..7 share the tables of e = 3 and get one in all
@@ -407,7 +485,10 @@ def test_check_recursions_detects_corruption(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "check-recursions", "--input", str(path))
     assert code == 1
-    assert any("nonzero" in line for line in out.splitlines())
+    assert out == (
+        "difference-eq[i=1]\tnonzero\tm=1\tw=1\tvalue=1\n"
+        "shift-eq\tnonzero\tm=1\tw=2\tvalue=-1\n"
+    )
 
 
 def test_check_recursions_usage_errors(tmp_path, capsys):
@@ -559,6 +640,21 @@ def test_check_recursions_refuses_misplaced_series(tmp_path, capsys, edit):
     code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
     assert (code, stdout) == (2, "")
     assert "cannot load family" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "document", [[1, 2], "x", 3, None, SERIES], ids=["list", "string", "number", "null", "series"]
+)
+def test_check_recursions_refuses_a_document_that_is_no_family_object(
+    tmp_path, capsys, document
+):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "k, x_order, q_order and F" in err
+    assert "subscriptable" not in err and "indices" not in err
 
 
 def test_output_determinism(capsys):

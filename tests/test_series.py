@@ -1,6 +1,8 @@
 """Core ring operations on truncated bivariate series."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -273,6 +275,35 @@ def test_immutability():
     s = one(1, 1)
     with pytest.raises(AttributeError):
         s.x_order = 5
+    with pytest.raises(AttributeError):
+        s._rows = ((0, 0), (0, 0))
+    with pytest.raises(AttributeError):
+        del s.x_order
+    assert s == one(1, 1)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(lambda v: pickle.loads(pickle.dumps(v, 2)), id="pickle-2"),
+        pytest.param(lambda v: pickle.loads(pickle.dumps(v, pickle.HIGHEST_PROTOCOL)),
+                     id="pickle-highest"),
+    ],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: one(1, 2), id="one"),
+        pytest.param(lambda: solve(2, 3, 5).members[1], id="solved-member"),
+        pytest.param(lambda: solve(2, 3, 5), id="solved-family"),
+    ],
+)
+def test_copies_and_pickles_are_equal_values(duplicate, make):
+    value = make()
+    twin = duplicate(value)
+    assert twin == value and hash(twin) == hash(value)
 
 
 def test_json_round_trip():
