@@ -3,9 +3,9 @@
 Subcommands: solve, verify-gordon, oracle, crosscheck, check-recursions.
 Standard output carries only data (JSON or TSV); progress notes go to
 standard error. Exit codes: 0 all comparisons matched, 1 a well-formed run
-found a mismatch, 2 usage error or standard output closed by its reader
-before the data was written. Identical invocations produce byte-identical
-output; there are no config files or environment knobs.
+found a mismatch, 2 usage error, out of memory, or standard output closed by
+its reader before the data was written. Identical invocations produce
+byte-identical output; there are no config files or environment knobs.
 
 Each integer option's domain is its argparse type, so a value outside it
 fails while parsing, with argparse's usage and error lines on standard
@@ -327,13 +327,14 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early; send what is still buffered to
-        # devnull, so that the flush at interpreter exit cannot raise again
+    except (BrokenPipeError, MemoryError) as exc:
+        # the reader closed stdout early, or memory ran out; send what is still
+        # buffered to devnull, so that the flush at interpreter exit cannot raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        code = _usage("standard output was closed before the output was written")
+        code = _usage("out of memory" if isinstance(exc, MemoryError)
+                      else "standard output was closed before the output was written")
     sys.exit(code)
 
 

@@ -20,9 +20,9 @@ no x-degree m-i, so a_(i,m) = a_(i-1,m): on a window of x-degree R every
 member R < i <= k equals F_R. ``solve`` keeps each x^m row once, F_k's rows
 in the same table as the others, and hands back F_R's object for those members.
 
-``check_recursions`` re-evaluates all k+1 residuals from scratch, so a
-solved family is always audited against the system itself rather than
-against the solver's own schedule.
+``check_recursions`` yields the k+1 residuals one at a time, each evaluated
+from scratch, so a solved family is always audited against the system itself
+rather than against the solver's own schedule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row, short_repr
 
@@ -199,18 +199,16 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
 # -- residual checks --------------------------------------------------------------
 
 
-def check_recursions(fam: RecursionFamily) -> list[BiSeries]:
-    """Residuals of the full system; entry i-1 is the i-th difference
-    equation F_i - (xq)^i F_(k-i)(xq,q) - F_(i-1), and the last entry is
-    the shift relation F_0 - F_k(xq,q). All must vanish identically.
+def check_recursions(fam: RecursionFamily) -> Iterator[BiSeries]:
+    """Residuals of the full system, yielded one at a time: the i-th is the
+    i-th difference equation F_i - (xq)^i F_(k-i)(xq,q) - F_(i-1), and the
+    last the shift relation F_0 - F_k(xq,q). All must vanish identically.
     """
     F = fam.members
     k = fam.k
-    residuals = []
     for i in range(1, k + 1):
-        residuals.append(F[i] - F[k - i].qshift(1).mul_monomial(i, i) - F[i - 1])
-    residuals.append(F[0] - F[k].qshift(1))
-    return residuals
+        yield F[i] - F[k - i].qshift(1).mul_monomial(i, i) - F[i - 1]
+    yield F[0] - F[k].qshift(1)
 
 
 def check_rr_recursion(series: BiSeries) -> BiSeries:

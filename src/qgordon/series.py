@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 # The largest window, in coefficients, that the JSON loaders and the solve
@@ -164,9 +164,6 @@ class BiSeries:
         self._require_same_orders(other)
         return BiSeries._of(tuple(map(sub, r1, r2)) for r1, r2 in zip(self._rows, other._rows))
 
-    def __neg__(self) -> BiSeries:
-        return BiSeries._of(tuple(map(neg, row)) for row in self._rows)
-
     def __mul__(self, other: BiSeries) -> BiSeries:
         self._require_same_orders(other)
         R, N = self.x_order, self.q_order
@@ -256,13 +253,11 @@ class BiSeries:
             try:
                 a, b, text = entry
                 c = int(text, 10)  # a TypeError unless text is a string
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"malformed term {short_repr(entry)}: {exc}") from None
-            if str(c) != text:
-                raise ValueError(
-                    f"malformed term {short_repr(entry)}: "
-                    "coefficient is no canonical decimal string"
-                )
+                if str(c) != text:
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed term {short_repr(entry)}: "
+                                 'need [a, b, "c"], c a canonical decimal string') from None
             if type(a) is not int or type(b) is not int:
                 raise ValueError(f"malformed term {short_repr(entry)}: indices must be integers")
             if not (0 <= a <= R and 0 <= b <= N):

@@ -93,7 +93,7 @@ def test_criterion_4_rogers_ramanujan_recursion():
 
 
 def test_criterion_5_level_two_worked_example():
-    residuals = check_recursions(solve(2, 10, 30))
+    residuals = list(check_recursions(solve(2, 10, 30)))
     ok = len(residuals) == 3 and all(r.is_zero() for r in residuals)
     _report(5, ok, "the three level-2 difference equations hold at (10, 30)")
     assert ok

@@ -110,6 +110,15 @@ def test_solve_json_within_a_memory_cap():
     assert obj["k"] == 1 and len(obj["F"]) == 2
 
 
+def test_solve_out_of_memory():
+    # the solver's table outgrows the cap: one error line, exit 2, no partial output
+    code, out, err, _ = run_limited("solve", "--k", "1", "--xmax", "9", "--qmax", "49999",
+                                    "--format", "json", memory_mb=40)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_tall_solve_within_a_memory_cap():
     # on x-window 0, members 0 < i < k are member 0's object, so solve builds
     # two series (F_0 and F_k) and a tuple of k + 1 references to them
@@ -554,6 +563,26 @@ def test_check_recursions_quotes_a_short_prefix_of_a_bad_term(tmp_path, capsys, 
     assert (code, stdout) == (2, "")
     assert "malformed" in err and len(err.splitlines()) == 1
     assert len(err.encode()) < 1000
+
+
+# a short term, a bare number, a non-decimal string, a coefficient past the
+# interpreter's digit limit and an object as a term
+@pytest.mark.parametrize(
+    "term",
+    [[0, 0], [0, 0, 1], [0, 0, "x"], [0, 0, "1" * 5000], {"a": 1}],
+    ids=["short", "number", "not-decimal", "5000-digits", "object"],
+)
+def test_check_recursions_names_the_term_shape(tmp_path, capsys, term):
+    _, out, _ = run(capsys, "solve", "--k", "1", "--xmax", "2", "--qmax", "4",
+                    "--format", "json")
+    obj = json.loads(out)
+    obj["F"][0]["terms"][0] = term
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, "check-recursions", "--input", str(path))
+    assert (code, stdout) == (2, "")
+    assert len(err.splitlines()) == 1 and '[a, b, "c"]' in err
+    assert not any(word in err for word in ("unpack", "int()", "invalid literal", "Exceeds"))
 
 
 def test_check_recursions_deeply_nested_json(tmp_path, capsys):

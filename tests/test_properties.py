@@ -44,7 +44,7 @@ def test_ring_axioms(triple):
     assert s * t == t * s
     assert (s * t) * u == s * (t * u)
     assert s * (t + u) == s * t + s * u
-    assert s - t == s + (-t)
+    assert (s - t) + t == s
 
 
 @settings(max_examples=150, deadline=None)

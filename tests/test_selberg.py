@@ -49,9 +49,16 @@ def test_level_one_first_rows():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_residuals_vanish(k):
     fam = solve(k, 6, 16)
-    residuals = check_recursions(fam)
+    residuals = list(check_recursions(fam))
     assert len(residuals) == k + 1
     assert all(r.is_zero() for r in residuals)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_residuals_are_yielded_one_at_a_time(k):
+    residuals = check_recursions(solve(k, 4, 8))
+    assert iter(residuals) is residuals
+    assert list(residuals) == [zero(4, 8)] * (k + 1)
 
 
 def test_checker_soundness():
@@ -83,7 +90,7 @@ def test_rr_recursion_on_multisum():
 
 def test_k2_example():
     fam = solve(2, 6, 15)
-    residuals = check_recursions(fam)
+    residuals = list(check_recursions(fam))
     assert len(residuals) == 3
     assert all(r.is_zero() for r in residuals)
 
@@ -97,7 +104,7 @@ def test_k2_example_soundness():
         members=(fam.members[0], fam.members[1], fam.members[1]),
     )
     # F_2 - (xq)^2 F_0(xq,q) - F_1 with F_1 in place of F_2
-    residuals = check_recursions(swapped)
+    residuals = list(check_recursions(swapped))
     assert not residuals[1].is_zero()
 
 
