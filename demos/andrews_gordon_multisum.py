@@ -5,7 +5,8 @@ coefficient of x^m q^n counts partitions of n into exactly m parts
 meeting the (l, t) = (k+1, i+1) difference condition. Summing over m
 (setting x = 1) recovers the product side of the identities. The same
 table comes from ``gordon_partition_table``, which counts the partitions
-by number of parts with a transfer and no generating function.
+by number of parts with the transfer behind ``count_gordon_partitions``
+and no generating function.
 """
 
 from qgordon import (

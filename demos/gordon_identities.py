@@ -7,8 +7,8 @@ The Gordon side is counted by a transfer over part sizes in frequency
 form (f_1 <= t-1 and f_j + f_(j+1) <= l-1), the congruence side by a table
 over (weight left, smallest admissible part); neither uses a generating
 function. The last lines split one entry by number of parts with
-``gordon_partition_table``, the same transfer with the parts so far in its
-state.
+``gordon_partition_table``, the same transfer run with one row per number
+of parts.
 """
 
 from qgordon import (

@@ -4,8 +4,11 @@ Subcommands: solve, verify-gordon, oracle, crosscheck, check-recursions.
 Standard output carries only data (JSON or TSV); progress notes go to
 standard error. Exit codes: 0 all comparisons matched, 1 a well-formed run
 found a mismatch, 2 usage error, out of memory, or standard output closed by
-its reader before the data was written. Identical invocations produce
-byte-identical output; there are no config files or environment knobs.
+its reader before the data was written. An exit 2 for out of memory or a
+closed standard output can come after part of the data was written, so
+standard output may then hold an incomplete document, which must be
+discarded. Identical invocations produce byte-identical output; there are
+no config files or environment knobs.
 
 Each integer option's domain is its argparse type, so a value outside it
 fails while parsing, with argparse's usage and error lines on standard

@@ -19,15 +19,18 @@ count is a transfer over part sizes in frequency form, the congruence count
 a table over (weight left, smallest admissible part); both take polynomial
 time and neither recurses. Each fills every weight up to its size at once,
 so the counters keep that whole row, built once per power-of-two size, and
-answer each n from it. The table by number of parts runs the same
-transfer once with the parts so far in its state, and lists nothing.
+answer each n from it. One Gordon transfer, ``_gordon_rows``, gives both
+shapes: run with a single row it is the weight row, and run with one row
+per number of parts it is the table by number of parts. It lists nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import add
 
 from .series import BiSeries, div_one_minus_q_power
 
@@ -165,34 +168,9 @@ def _table_size(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _gordon_weights(cond: GordonCondition, size: int) -> tuple[int, ...]:
-    """Numbers of Gordon partitions of each weight 0..size.
-
-    In frequency form (f_j parts equal to j) the condition reads f_1 <= t-1
-    and f_j + f_(j+1) <= l-1: l consecutive parts differ by at most 1 exactly
-    when they all lie in some {j, j+1}. A transfer over part sizes j = 1..size
-    keeps, for each value of f_j, the number of choices f_1..f_j at each
-    weight so far; the next part size may take any f_(j+1) <= l-1-f_j, so one
-    prefix sum over f_j serves every f_(j+1). Since f_j <= size // j, a level
-    far beyond size costs nothing extra, and the work is O(size^2 log size).
-    """
-    k = cond.l - 1
-    # rows[f][w]: choices of f_1..f_j with f_j = f and weight w, here j = 1
-    rows = [[0] * (size + 1) for _ in range(min(cond.t - 1, size) + 1)]
-    for f, row in enumerate(rows):
-        row[f] = 1
-    for j in range(2, size + 1):
-        # at_most[g][w]: the same choices with f_(j-1) <= g
-        at_most = []
-        acc = [0] * (size + 1)
-        for row in rows:
-            acc = [a + b for a, b in zip(acc, row)]
-            at_most.append(acc)
-        top = len(rows) - 1
-        rows = [
-            [0] * (f * j) + at_most[min(k - f, top)][: size + 1 - f * j]
-            for f in range(min(k, size // j) + 1)
-        ]
-    return tuple(map(sum, zip(*rows)))
+    """Numbers of Gordon partitions of each weight 0..size: _gordon_rows
+    with a single row, into which every number of parts folds."""
+    return tuple(_gordon_rows(cond, size, 1)[0])
 
 
 def gordon_partition_table(cond: GordonCondition, x_order: int, q_order: int) -> BiSeries:
@@ -200,36 +178,58 @@ def gordon_partition_table(cond: GordonCondition, x_order: int, q_order: int) ->
     the number of partitions of n into exactly m parts meeting the Gordon
     condition, for every m <= x_order and n <= q_order.
 
-    The transfer of _gordon_weights, run once with each weight row
-    split into rows over the number of parts so far; states with more parts
-    than the window holds are dropped. Every part weighs at least 1, so no
-    partition in the window has more than q_order parts, and the rows past
-    that are zero.
+    Rows 0..M of _gordon_rows, with M = min(x_order, q_order): every part
+    weighs at least 1, so no partition in the window has more than q_order
+    parts, and the rows past M are zero.
     """
     if x_order < 0 or q_order < 0:
         raise ValueError("need x_order >= 0 and q_order >= 0")
-    k = cond.l - 1
-    N = q_order
-    M = min(x_order, N)
-    zero = [0] * (N + 1)
-    # tables[f][c][w]: choices of f_1..f_j with f_j = f, c parts and weight w;
-    # before j = 1 there is only the empty choice
-    tables = [[[1] + zero[1:]] + [zero] * M]
-    for j in range(1, N + 1):
-        # at_most[g][c][w]: the same choices with f_(j-1) <= g
-        at_most = []
-        acc = [zero] * (M + 1)
-        for table in tables:
-            acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, table)]
-            at_most.append(acc)
-        top = len(tables) - 1
-        tables = [
-            [zero] * f
-            + [[0] * (f * j) + row[: N + 1 - f * j] for row in at_most[min(k - f, top)][: M + 1 - f]]
-            for f in range(min(cond.t - 1 if j == 1 else k, N // j, M) + 1)
-        ]
-    rows = [tuple(map(sum, zip(*(table[c] for table in tables)))) for c in range(M + 1)]
-    return BiSeries._of(rows + [tuple(zero)] * (x_order - M))
+    M = min(x_order, q_order)
+    rows = _gordon_rows(cond, q_order, M + 2)[: M + 1]
+    return BiSeries._of([*map(tuple, rows)] + [(0,) * (q_order + 1)] * (x_order - M))
+
+
+def _gordon_rows(cond: GordonCondition, size: int, parts: int) -> list[list[int]]:
+    """Numbers of Gordon partitions of each weight 0..size by number of
+    parts: row c < parts - 1 counts those with exactly c parts, and the last
+    row those with parts - 1 or more.
+
+    In frequency form (f_j parts equal to j) the condition reads f_1 <= t-1
+    and f_j + f_(j+1) <= cond.level: l consecutive parts differ by at most 1
+    exactly when they all lie in some {j, j+1}. A transfer over part sizes
+    j = 1..size keeps, for each value of f_j, a table of the choices
+    f_1..f_j by parts and weight so far; the next part size may take any
+    f_(j+1) <= cond.level - f_j, so one prefix sum over f_j serves every
+    f_(j+1). f copies of j move a count f rows down and f*j weights up, and a
+    count pushed past the last row folds into it. Since f_j <= size // j, a
+    level far beyond size costs nothing extra; one row costs O(size^2 log size).
+    """
+    last = parts - 1
+    zero = [0] * (size + 1)
+    # tables[f][c][w]: choices of f_1..f_j with f_j = f, c parts (the last
+    # row: at least that many) and weight w; before j = 1 only the empty choice
+    tables = [[[1] + zero[1:]] + [zero] * last]
+    for j in range(1, size + 1):
+        # at_most[g]: the same choices with f_(j-1) <= g
+        at_most = list(accumulate(tables, _add_tables))
+        top = len(at_most) - 1
+        tables = []
+        for f in range(min(cond.t - 1 if j == 1 else cond.level, size // j) + 1):
+            src = at_most[min(cond.level - f, top)]
+            cut = max(last - f, 0)
+            rows = src[:cut] + [reduce(_add_rows, src[cut:])]
+            rows = [[0] * (f * j) + row[: size + 1 - f * j] for row in rows]
+            tables.append([zero] * (last - cut) + rows)
+        del at_most  # not held while the next prefix sums are built
+    return reduce(_add_tables, tables)
+
+
+def _add_rows(a: list[int], b: list[int]) -> list[int]:
+    return list(map(add, a, b))
+
+
+def _add_tables(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return list(map(_add_rows, a, b))
 
 
 def count_congruence_partitions(cond: GordonCondition, n: int) -> int:

@@ -119,6 +119,22 @@ def test_solve_out_of_memory():
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_solve_out_of_memory_after_the_header():
+    # near the writer's need the run may succeed, or fail once the header is
+    # out: then stdout holds a cut document, which exit 2 says to discard
+    code, out, err, _ = run_limited("solve", "--k", "1", "--xmax", "9", "--qmax", "49999",
+                                    "--format", "json", memory_mb=55)
+    if code == 0:
+        assert json.loads(out)["k"] == 1
+        return
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    if out:
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
+
 def test_tall_solve_within_a_memory_cap():
     # on x-window 0, members 0 < i < k are member 0's object, so solve builds
     # two series (F_0 and F_k) and a tuple of k + 1 references to them

@@ -322,6 +322,23 @@ def test_counts_against_the_enumerators(l, t, n_max):
                 assert table.coeff(m, n) == by_parts[m]
 
 
+@pytest.mark.parametrize("l,t", [(l, t) for l in (2, 3, 6) for t in range(1, l + 1)])
+def test_gordon_rows_fold_the_parts_past_the_last_row(l, t):
+    # the one transfer behind both the weight row and the table by parts:
+    # row c < parts - 1 counts exactly c parts, the last row the rest
+    cond = GordonCondition(l, t)
+    by_weight = [Counter(map(len, iter_gordon_partitions(cond, w))) for w in range(17)]
+    for n in range(17):
+        for parts in sorted({1, 2, 3, n + 1, n + 3}):
+            rows = qcombinat._gordon_rows(cond, n, parts)
+            assert len(rows) == parts
+            for w in range(n + 1):
+                expected = [by_weight[w][c] for c in range(parts - 1)]
+                expected.append(sum(v for c, v in by_weight[w].items() if c >= parts - 1))
+                assert [row[w] for row in rows] == expected, (n, parts, w)
+            assert tuple(map(sum, zip(*rows))) == qcombinat._gordon_weights(cond, n)
+
+
 @pytest.mark.parametrize("l,t,n_max", [(3, 1, 200), (3, 2, 200), (3, 3, 200), (60, 60, 60)])
 def test_counts_against_the_product(l, t, n_max):
     # at l = t = 60 and n <= 60 only the partition of 60 into ones breaks
