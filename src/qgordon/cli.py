@@ -19,11 +19,13 @@ e <= k+1 and the MAX_CELLS cap), each with one error line.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import stat
 import sys
-from itertools import chain
+from itertools import chain, compress
+from operator import concat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ideal_quotient import hilbert_table
@@ -82,9 +84,10 @@ def _report_line(
 def _residual_line(label: str, residual: BiSeries) -> tuple[bool, str]:
     """Whether a residual vanished, and its report line, which names its
     first nonzero (m, w) and the value there."""
-    for m, w, value in residual.terms():
-        return False, f"{label}\tnonzero\tm={m}\tw={w}\tvalue={value}"
-    return True, f"{label}\tzero"
+    if residual.is_zero():
+        return True, f"{label}\tzero"
+    m, w, value = next(residual.terms())
+    return False, f"{label}\tnonzero\tm={m}\tw={w}\tvalue={value}"
 
 
 def _rows(series: BiSeries) -> list[tuple[int, ...]]:
@@ -118,9 +121,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         fam.write_json(sys.stdout)
     else:
         print("i\ta\tb\tcoeff")
+        # one write per nonzero row; tails[b] goes between a and the
+        # coefficient on the line of column b
+        tails = [f"\t{b}\t" for b in range(args.qmax + 1)]
+        write = sys.stdout.write
         for i, member in enumerate(fam.members):
-            for a, b, c in member.terms():
-                print(f"{i}\t{a}\t{b}\t{c}")
+            for a in range(args.xmax + 1):
+                row = member.row(a)
+                if any(row):
+                    head = f"{i}\t{a}"
+                    write(head + f"\n{head}".join(map(concat, compress(tails, row),
+                                                     map(str, compress(row, row)))) + "\n")
     return 0
 
 
@@ -226,7 +237,15 @@ def cmd_check_recursions(args: argparse.Namespace) -> int:
             os.close(fd)
             return _usage(f"cannot load family from {args.input!r}: not a regular file")
         with os.fdopen(fd, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_hook=member_decoder())
+            # a parse tree holds no cycles, so the cyclic collector, which
+            # would rescan its growing lists, is paused for the parse
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                obj = json.load(fh, object_hook=member_decoder())
+            finally:
+                if collecting:
+                    gc.enable()
         fam = RecursionFamily.from_json_dict(obj)
     except (OSError, ValueError, RecursionError) as exc:
         return _usage(f"cannot load family from {args.input!r}: {exc}")

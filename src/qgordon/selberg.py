@@ -21,15 +21,15 @@ member R < i <= k equals F_R. ``solve`` keeps each x^m row once, F_k's rows
 in the same table as the others, and hands back F_R's object for those members.
 
 ``check_recursions`` yields the k+1 residuals one at a time, each evaluated
-from scratch, so a solved family is always audited against the system itself
-rather than against the solver's own schedule.
+from the members' rows, so a solved family is always audited against the
+system itself rather than against the solver's own schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterator, TextIO
 
 from .series import MAX_CELLS, BiSeries, div_one_minus_q_power, shift_row, short_repr
@@ -93,7 +93,8 @@ class RecursionFamily:
 
     def write_json(self, out: TextIO) -> None:
         """Write json.dumps(self.to_json_dict()) and a newline to out, one
-        member at a time, so at most one member's text is held at once."""
+        member at a time from BiSeries.to_json_text, so at most one member's
+        text is held at once."""
         out.write(
             f'{{"k": {self.k}, "x_order": {self.x_order}, '
             f'"q_order": {self.q_order}, "F": ['
@@ -203,12 +204,28 @@ def check_recursions(fam: RecursionFamily) -> Iterator[BiSeries]:
     """Residuals of the full system, yielded one at a time: the i-th is the
     i-th difference equation F_i - (xq)^i F_(k-i)(xq,q) - F_(i-1), and the
     last the shift relation F_0 - F_k(xq,q). All must vanish identically.
+
+    Each residual row is built in one pass from the members' rows: the x^a
+    row of (xq)^i F_(k-i)(xq,q) is F_(k-i)'s x^(a-i) row times q^a. Past the
+    x-window (i > x_order) that term is zero, so when F_i and F_(i-1) are
+    the objects F_(i-1) and F_(i-2) were, as in a tall family, residual i is
+    residual i-1's object.
     """
     F = fam.members
-    k = fam.k
+    k, R = fam.k, fam.x_order
+    residual = None
     for i in range(1, k + 1):
-        yield F[i] - F[k - i].qshift(1).mul_monomial(i, i) - F[i - 1]
-    yield F[0] - F[k].qshift(1)
+        if not (i > R + 1 and F[i] is F[i - 1] is F[i - 2]):
+            fi, term, before = F[i]._rows, F[k - i]._rows, F[i - 1]._rows
+            residual = BiSeries._of(
+                tuple(map(sub, map(sub, fi[a], shift_row(term[a - i], a)), before[a]))
+                if a >= i
+                else tuple(map(sub, fi[a], before[a]))
+                for a in range(R + 1)
+            )
+        yield residual
+    f0, fk = F[0]._rows, F[k]._rows
+    yield BiSeries._of(tuple(map(sub, f0[a], shift_row(fk[a], a))) for a in range(R + 1))
 
 
 def check_rr_recursion(series: BiSeries) -> BiSeries:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import compress, islice
+from operator import add, concat, sub
 from typing import Iterable, Iterator, Sequence
 
 # The largest window, in coefficients, that the JSON loaders and the solve
@@ -220,12 +221,15 @@ class BiSeries:
 
     def to_json_text(self) -> str:
         """The text json.dumps(self.to_json_dict()) writes, built straight
-        from the rows without the term lists in between."""
+        from the rows without the term lists in between: one string per
+        nonzero row, joined from its terms' column texts and coefficients."""
+        mids = [f', {b}, "' for b in range(self.q_order + 1)]
         terms = ", ".join([
-            f'[{a}, {b}, "{c}"]'
+            f"[{a}"
+            + f'"], [{a}'.join(map(concat, compress(mids, row), map(str, compress(row, row))))
+            + '"]'
             for a, row in enumerate(self._rows)
-            for b, c in enumerate(row)
-            if c
+            if any(row)
         ])
         return f'{{"x_order": {self.x_order}, "q_order": {self.q_order}, "terms": [{terms}]}}'
 
@@ -233,7 +237,10 @@ class BiSeries:
     def from_json_dict(cls, obj: dict) -> BiSeries:
         """Inverse of to_json_dict. Orders and indices must be JSON integers,
         coefficients strings equal to str() of their int, and terms nonzero,
-        in the window, and strictly increasing in (a, b)."""
+        in the window, and strictly increasing in (a, b). One loop checks
+        each term in that order and stores it in a flat table at
+        a*(q_order+1) + b, which inside the window orders the terms as
+        (a, b) does."""
         try:
             R, N, raw_terms = obj["x_order"], obj["q_order"], obj["terms"]
         except (KeyError, TypeError) as exc:
@@ -247,8 +254,9 @@ class BiSeries:
             )
         if not isinstance(raw_terms, list):
             raise ValueError("malformed series object: terms must be a list")
-        rows = [[0] * (N + 1) for _ in range(R + 1)]
-        last = (-1, -1)
+        width = N + 1
+        cells = [0] * ((R + 1) * width)
+        last = -1  # the flat index a*(N+1) + b of the previous term
         for entry in raw_terms:
             try:
                 a, b, text = entry
@@ -264,16 +272,20 @@ class BiSeries:
                 raise ValueError(
                     f"term ({short_repr(a)},{short_repr(b)}) outside declared window ({R},{N})"
                 )
-            if (a, b) <= last:
+            at = a * width + b
+            if at <= last:
+                la, lb = divmod(last, width)
                 raise ValueError(
-                    f"term ({a},{b}) does not follow ({last[0]},{last[1]}): "
+                    f"term ({a},{b}) does not follow ({la},{lb}): "
                     "terms must be distinct and sorted"
                 )
             if c == 0:
                 raise ValueError(f"term ({a},{b}) has coefficient zero")
-            rows[a][b] = c
-            last = (a, b)
-        return cls._of(map(tuple, rows))
+            cells[at] = c
+            last = at
+        # rows are read off one iterator, so no slice copies a row first
+        flat = iter(cells)
+        return cls._of(tuple(islice(flat, width)) for _ in range(R + 1))
 
 
 # -- constructors -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, formats, and determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -561,6 +562,35 @@ def test_check_recursions_rejects_non_canonical_files(tmp_path, capsys):
         assert "malformed" in err, n
 
 
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "text, want_code",
+    [
+        pytest.param(lambda good: good, 0, id="good"),
+        pytest.param(lambda good: good.replace('[0, 0, "1"]', '[0, 0, "2"]', 1), 1,
+                     id="wrong-coefficient"),
+        pytest.param(lambda good: good.replace('[1, 2, "1"]', '[1, 2, "01"]', 1), 2,
+                     id="malformed-term"),
+        pytest.param(lambda good: good[:100], 2, id="cut"),
+    ],
+)
+def test_check_recursions_leaves_the_collector_as_it_found_it(
+    tmp_path, capsys, collecting, text, want_code
+):
+    # the cyclic collector is paused while the file is parsed, and its state
+    # before the command is restored however the parse ends
+    good = run(capsys, "solve", "--k", "1", "--xmax", "2", "--qmax", "4", "--format", "json")[1]
+    path = tmp_path / "family.json"
+    path.write_text(text(good))
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        code = run(capsys, "check-recursions", "--input", str(path))[0]
+        assert (code, gc.isenabled()) == (want_code, collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 # a 100,000-digit coefficient (its leading zero makes it no canonical string
 # on every Python) and a term with 100,000 extra elements
 @pytest.mark.parametrize(
@@ -732,6 +762,9 @@ PINNED_STDOUT = [
      "13d74a608aae4ff83ce10e3c84e809df53db6dcf43839cbafdcef4051bfb7f3b"),
     (("solve", "--k", "9", "--xmax", "12", "--qmax", "60", "--format", "tsv"), 0,
      "ec7fcf8ed0c88d637aaf59f32629fc74b4aa0450050fe7df0bb4de5ac45fe21d"),
+    # the wide family as TSV: 268,474 lines of rows written one string each
+    (("solve", "--k", "4", "--xmax", "80", "--qmax", "1200", "--format", "tsv"), 0,
+     "4fa73673a028ef563a28a5badc2ee3c2cbf2bf85a04013abd1e4703418939b08"),
     # a level far above the x-window: members 3..2999 are member 2's object
     (("solve", "--k", "3000", "--xmax", "2", "--qmax", "6", "--format", "json"), 0,
      "bcdb90b949659a2ebe943d40a427b0b41eecd7ac4ca8d1a2ccf038a2c18016f9"),

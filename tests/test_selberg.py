@@ -1,5 +1,6 @@
 """The recursion system: solver, residual checks, and normalization data."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -71,6 +72,54 @@ def test_checker_soundness():
         members=(fam.members[0], bumped, fam.members[2]),
     )
     assert any(not r.is_zero() for r in check_recursions(broken))
+
+
+def _residuals_from_scratch(fam):
+    """The residuals built with the ring operations, several series per
+    equation: the reference for check_recursions' row-wise pass."""
+    F, k = fam.members, fam.k
+    for i in range(1, k + 1):
+        yield F[i] - F[k - i].qshift(1).mul_monomial(i, i) - F[i - 1]
+    yield F[0] - F[k].qshift(1)
+
+
+def _bumped(fam, i, a, b):
+    """fam with 1 added to the x^a q^b coefficient of member i alone."""
+    members = list(fam.members)
+    members[i] = members[i] + monomial(a, b, fam.x_order, fam.q_order)
+    return dataclasses.replace(fam, members=tuple(members))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _bumped(solve(3, 6, 16), 1, 2, 3), id="bumped-low-member"),
+        pytest.param(lambda: _bumped(solve(3, 6, 16), 3, 6, 16), id="bumped-last-cell"),
+        pytest.param(lambda: _bumped(solve(2, 0, 5), 0, 0, 4), id="bumped-x-degree-0"),
+        pytest.param(lambda: _bumped(solve(9, 3, 12), 6, 1, 1), id="bumped-above-the-window"),
+    ],
+)
+def test_residuals_equal_the_ring_operations(make):
+    fam = make()
+    assert list(check_recursions(fam)) == list(_residuals_from_scratch(fam))
+
+
+@pytest.mark.parametrize("x_order, q_order", [(0, 0), (2, 6)])
+def test_tall_family_residuals_are_shared(x_order, q_order):
+    # past the x-window F_i - F_(i-1) is the whole residual, so where both
+    # members are the objects of the equation before, as solve and the
+    # decoder share them, the residual is the one before
+    solved = solve(2000, x_order, q_order)
+    decoded = json.loads(_family_text(2000, x_order, q_order), object_hook=member_decoder())
+    for fam in (solved, RecursionFamily.from_json_dict(decoded)):
+        residuals = list(check_recursions(fam))
+        assert residuals == list(_residuals_from_scratch(fam))
+        assert len({id(r) for r in residuals}) == x_order + 2
+    # a member off the shared object breaks the run of shared residuals
+    broken = _bumped(solved, 1000, x_order, q_order)
+    residuals = list(check_recursions(broken))
+    assert residuals == list(_residuals_from_scratch(broken))
+    assert [i for i, r in enumerate(residuals, 1) if not r.is_zero()] == [1000, 1001]
 
 
 def test_rr_recursion_on_solved_series():

@@ -322,6 +322,8 @@ def test_json_round_trip():
         pytest.param(from_terms(2, 5, {(0, 0): -1, (1, 3): -42, (2, 5): 7}), id="negative"),
         pytest.param(from_terms(1, 2, {(1, 1): 2**200 + 1, (0, 2): -(3**130)}), id="huge"),
         pytest.param(hilbert_table(2, 2, 6, 14).to_biseries(), id="oracle-table"),
+        pytest.param(from_terms(3, 4, {(0, 1): 5, (2, 0): -1, (2, 4): 3}), id="zero-row-between"),
+        pytest.param(from_terms(2, 6, {(2, 6): -9}), id="lone-last-cell"),
     ],
 )
 def test_json_text_is_the_dumps_of_the_dict(series):
@@ -341,26 +343,68 @@ def test_json_validation():
         BiSeries.from_json_dict(["not", "a", "dict"])
 
 
+# check-recursions reports these messages on its error line, so their text
+# is pinned, including the (a, b) that an out-of-order term does not follow
 @pytest.mark.parametrize(
-    "terms, orders",
+    "terms, orders, message",
     [
-        pytest.param([[0, 0, "1"], [0, 0, "2"]], (1, 1), id="duplicate-term"),
-        pytest.param([[1.9, 0, "1"]], (1, 1), id="float-index"),
-        pytest.param([[True, 0, "1"]], (1, 1), id="bool-index"),
-        pytest.param([[0, 1, "1"], [0, 0, "1"]], (1, 1), id="unsorted-terms"),
-        pytest.param([[1, 0, "1"], [0, 1, "1"]], (1, 1), id="unsorted-in-a"),
-        pytest.param([[0, 0, "0"]], (1, 1), id="zero-coefficient"),
-        pytest.param([[0, 0, "1", 9]], (1, 1), id="extra-field"),
-        pytest.param([[0, 0, "1"]], (1.0, 1), id="float-order"),
-        pytest.param([[0, 0, "1"]], (1, True), id="bool-order"),
-        pytest.param([[0, 0, "1"]], ("1", 1), id="string-order"),
-        pytest.param([], (-1, 1), id="negative-order"),
-        pytest.param([], (0, 10**30), id="window-over-cap"),
-        pytest.param([], (0, MAX_CELLS), id="window-just-over-cap"),
-        pytest.param([], (1, MAX_CELLS // 2), id="rows-over-cap"),
+        pytest.param([[0, 0, "1"], [0, 0, "2"]], (1, 1),
+                     "term (0,0) does not follow (0,0): terms must be distinct and sorted",
+                     id="duplicate-term"),
+        pytest.param([[1.9, 0, "1"]], (1, 1),
+                     "malformed term [1.9, 0, '1']: indices must be integers",
+                     id="float-index"),
+        pytest.param([[True, 0, "1"]], (1, 1),
+                     "malformed term [True, 0, '1']: indices must be integers",
+                     id="bool-index"),
+        pytest.param([[0, 1, "1"], [0, 0, "1"]], (1, 1),
+                     "term (0,0) does not follow (0,1): terms must be distinct and sorted",
+                     id="unsorted-terms"),
+        pytest.param([[1, 0, "1"], [0, 1, "1"]], (1, 1),
+                     "term (0,1) does not follow (1,0): terms must be distinct and sorted",
+                     id="unsorted-in-a"),
+        # across a row boundary: flat indices 5 then 4, one apart
+        pytest.param([[1, 0, "1"], [0, 4, "1"]], (1, 4),
+                     "term (0,4) does not follow (1,0): terms must be distinct and sorted",
+                     id="unsorted-across-rows"),
+        pytest.param([[0, 1, "1"], [1, 0, "1"], [1, 0, "1"]], (1, 1),
+                     "term (1,0) does not follow (1,0): terms must be distinct and sorted",
+                     id="duplicate-after-a-row"),
+        pytest.param([[0, 0, "0"]], (1, 1), "term (0,0) has coefficient zero",
+                     id="zero-coefficient"),
+        pytest.param([[0, 0, "1", 9]], (1, 1),
+                     "malformed term [0, 0, '1', 9]: "
+                     'need [a, b, "c"], c a canonical decimal string',
+                     id="extra-field"),
+        pytest.param([[0, 0, "1"]], (1.0, 1),
+                     "malformed series object: orders must be integers >= 0", id="float-order"),
+        pytest.param([[0, 0, "1"]], (1, True),
+                     "malformed series object: orders must be integers >= 0", id="bool-order"),
+        pytest.param([[0, 0, "1"]], ("1", 1),
+                     "malformed series object: orders must be integers >= 0", id="string-order"),
+        pytest.param([], (-1, 1),
+                     "malformed series object: orders must be integers >= 0",
+                     id="negative-order"),
+        pytest.param([], (0, 10**30),
+                     "window (0,1000000000000000000000000000000) has more than "
+                     "MAX_CELLS=10000000 cells",
+                     id="window-over-cap"),
+        pytest.param([], (0, MAX_CELLS),
+                     "window (0,10000000) has more than MAX_CELLS=10000000 cells",
+                     id="window-just-over-cap"),
+        pytest.param([], (1, MAX_CELLS // 2),
+                     "window (1,5000000) has more than MAX_CELLS=10000000 cells",
+                     id="rows-over-cap"),
     ],
 )
-def test_json_rejects_non_canonical_terms(terms, orders):
+def test_json_rejects_non_canonical_terms(terms, orders, message):
     obj = {"x_order": orders[0], "q_order": orders[1], "terms": terms}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         BiSeries.from_json_dict(obj)
+    assert str(info.value) == message
+
+
+def test_json_accepts_terms_at_the_ends_of_adjacent_rows():
+    # the last cell of row 0 and the first of row 1 are adjacent flat indices
+    obj = {"x_order": 2, "q_order": 4, "terms": [[0, 4, "3"], [1, 0, "-2"], [2, 4, "1"]]}
+    assert BiSeries.from_json_dict(obj) == from_terms(2, 4, {(0, 4): 3, (1, 0): -2, (2, 4): 1})
