@@ -7,7 +7,15 @@ the monomials divisible by y_1^e, rank the products of monomials with the
 r_w over the monomials that remain, and subtract that rank from their
 number. No recursion system, no multisum. The table still reproduces the
 same series, which is the whole point of using it as an oracle.
+
+Most products are redundant: differentiating Y(z)^(k+1), with
+Y(z) = sum_j y_j z^j, gives sum_j (n - (k+2) j) * y_j * r_(n-j) = 0. So for
+e >= 2 a product mu * r_w whose multiplier mu holds y_1, with w != k+1, is a
+combination of products with heavier multipliers, and hilbert_table leaves it
+out.
 """
+
+from collections import Counter
 
 from qgordon import (
     andrews_gordon_multisum,
@@ -26,6 +34,20 @@ for w in range(2, 6):
         for mono, mult in r_polynomial(k, w)
     )
     print(f"  r_{w} = {terms}")
+print()
+
+
+def derivative_identity(k, n):
+    """sum_j (n - (k+2) j) * y_j * r_(n-j) as {index tuple: coefficient}."""
+    total = Counter()
+    for j in range(1, n - k):
+        for lam, mult in r_polynomial(k, n - j):
+            total[tuple(sorted(lam + (j,), reverse=True))] += (n - (k + 2) * j) * mult
+    return total
+
+
+print("The derivative identity sum_j (n - 3j) * y_j * r_(n-j) = 0 for k=1, n <= 8:",
+      all(not any(derivative_identity(k, n).values()) for n in range(k + 2, 9)))
 print()
 
 mm, wm = 4, 10

@@ -43,8 +43,9 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # oracle and crosscheck build full ideal-quotient tables; beyond this window
 # the exact rank computations stop being interactive-fast, so larger requests
 # are rejected as usage errors rather than left to crawl. At the edge,
-# crosscheck --mmax 12 --wmax 30 takes about 1.2 s at k=2, at most about 1.4 s
-# for k = 3..5 and 0.5 s at k=8, on Python 3.11 and a shared 2-core x86-64
+# crosscheck --mmax 12 --wmax 30 takes about 0.55 s at k = 2 and 3, 0.4-0.5 s
+# at k = 4 and 5 and 0.2 s at k=8, as a subprocess on Python 3.11.7 and a
+# shared 2-core x86-64
 ORACLE_MAX_M = 12
 ORACLE_MAX_W = 30
 # verify-gordon counts partitions with one transfer table per counter and
@@ -95,11 +96,12 @@ def _rows(series: BiSeries) -> list[tuple[int, ...]]:
 
 
 def _report(results: Iterable[tuple[bool, str]]) -> int:
-    """Print each comparison's line as it comes, so a long run holds none of
+    """Write each comparison's line as it comes, so a long run holds none of
     them; 0 if every comparison matched, else 1."""
     code = 0
+    write = sys.stdout.write
     for ok, line in results:
-        print(line)
+        write(line + "\n")
         if not ok:
             code = 1
     return code

@@ -23,6 +23,23 @@ basis, and with k+1 parts they are the generators r_w. The products of the
 remaining monomials with the r_w are sparse {column: coefficient} rows over
 that basis, and each quotient dimension is |basis| - rank, with the rank
 taken exactly by ``integer_matrix_rank``.
+
+Most of those products are redundant, and one identity finds them before the
+rank does. With Y(z) = sum_j y_j z^j, so that Y^(k+1) = sum_w r_w z^w,
+differentiating gives Y * (Y^(k+1))' = (k+1) * Y^(k+1) * Y', whose
+coefficient of z^(n-1) reads
+
+    sum_j (n - (k+2) j) * y_j * r_(n-j) = 0    for every n.
+
+Dropping the monomials with e or more ones keeps it true. Let s = 1 when
+e >= 2, and s = 2 when e = 1: then y_1 is in the ideal, so the j = 1 term
+vanishes. For w != (k+1)s the term j = s has a nonzero coefficient, so for a
+multiplier mu = y_s * nu the product mu * r_w is a combination of the
+products (nu * y_j) * r_(w+s-j), j > s, whose multipliers weigh more. By
+induction from the heaviest multiplier down, the products whose multiplier
+holds no part s, together with those at w = (k+1)s, span every product of the
+cell, and only they are ranked.
+
 Nothing here touches the recursion system or the multisum: quotient
 dimensions come out of monomial counts and integer row reduction alone,
 which is what makes the resulting tables usable as an oracle against the
@@ -179,10 +196,20 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     it is redundant: the weight-(k+1) r-generator is exactly y_1^(k+1)).
     Each cell's basis is the partitions with fewer than e ones, fewest ones
     first, and its dimension is the size of that basis less the exact rank
-    of the products mu * r over generators r and monomials mu of
-    complementary bidegree, written as sparse rows in that basis. The rows
-    are ranked in the order they are made, generator weight ascending and
-    then mu in basis order.
+    of the products mu * r_w over generators r_w and monomials mu of
+    complementary bidegree, written as sparse rows in that basis.
+
+    Only part of those products is built. By the derivative identity
+    sum_j (n - (k+2) j) * y_j * r_(n-j) = 0, which holds after the monomials
+    with e or more ones are dropped, a product whose multiplier mu holds the
+    part s (s = 1 when e >= 2, s = 2 when e = 1, where the j = 1 term lies in
+    the ideal), with w != (k+1)s, is a combination of products whose
+    multipliers weigh more. So, by induction on the multiplier's weight
+    from the heaviest down, the other products span the same space, and the
+    rank is taken of them alone (at s = 1 the products kept at w = k+1 are
+    y_1^(k+1) * mu, which lie outside every basis). The rows are ranked in
+    the order they are made, generator weight ascending and then mu in
+    basis order.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -197,6 +224,10 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     keyed = keyed_partitions(width)
     bases = [[[(key + j) << width for j in range(min(e, m + 1)) for key, _ in keyed(w - m, m - j)]
               for w in range(w_max + 1)] for m in range(m_max + 1)]
+    # the part s of the derivative identity: a multiplier holding it, times
+    # r_w with w != (k+1)s, gives a row in the span of heavier multipliers' rows
+    s = 1 if e > 1 else 2
+    shift, mask = width * s, (1 << width) - 1
     entries = []
     for m in range(m_max + 1):
         row_m = []
@@ -210,7 +241,10 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
             # each column of a row is set once
             for w_gen in range(k + 1, w + 1) if m > k else ():
                 r_poly = keyed(w_gen, k + 1)
+                prune = w_gen != (k + 1) * s
                 for mu in bases[m - k - 1][w - w_gen]:
+                    if prune and (mu >> shift) & mask:
+                        continue
                     row: dict[int, int] = {}
                     for mono, mult in r_poly:
                         j = column(mu + mono)

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -309,6 +310,107 @@ def test_hilbert_table_at_weights_past_the_recursion_limit():
     # lighter lists it needs memoized and no call recurses deeply
     w_max = sys.getrecursionlimit() + 100
     assert hilbert_table(1, 2, 2, w_max).to_biseries() == solve(1, 2, w_max).members[1]
+
+
+def derivative_identity(k, n, weight=None):
+    """sum_j (weight - j) * y_j * r_(n-j) over j >= 1, with weight(j) =
+    n - (k+2) j by default, as {index tuple: coefficient} from r_polynomial,
+    together with the same sum modulo y_1: the j = 1 term and every monomial
+    holding y_1 left out."""
+    weight = weight or (lambda j: n - (k + 2) * j)
+    total, mod_y1 = Counter(), Counter()
+    for j in range(1, n - k):
+        for lam, mult in r_polynomial(k, n - j):
+            mono = tuple(sorted(lam + (j,), reverse=True))
+            total[mono] += weight(j) * mult
+            if 1 not in mono:
+                mod_y1[mono] += weight(j) * mult
+    return total, mod_y1
+
+
+def test_derivative_identity_of_the_generators():
+    # Y * (Y^(k+1))' = (k+1) * Y^(k+1) * Y' at z^(n-1): the identity that
+    # lets hilbert_table skip rows; it holds modulo y_1 as well, where the
+    # j = 1 term is gone. With (k+1) in place of (k+2) it fails
+    for k in range(1, 5):
+        for n in range(k + 2, 15):
+            total, mod_y1 = derivative_identity(k, n)
+            assert total and not any(total.values()), (k, n)
+            assert not any(mod_y1.values()), (k, n)
+            if n > k + 2:
+                wrong, _ = derivative_identity(k, n, lambda j: n - (k + 1) * j)
+                assert any(wrong.values()), (k, n)
+
+
+def unpruned_table(k, e, m_max, w_max, skip=lambda mu, w_gen, width: False):
+    """hilbert_table's entries with every product mu * r_w ranked, except
+    those skip(mu, w_gen, width) names: the row loop as it was before the
+    derivative identity pruned it, kept as the reference."""
+    width = max(m_max, 1).bit_length()
+    keyed = keyed_partitions(width)
+    bases = [[[(key + j) << width for j in range(min(e, m + 1)) for key, _ in keyed(w - m, m - j)]
+              for w in range(w_max + 1)] for m in range(m_max + 1)]
+    entries = []
+    for m in range(m_max + 1):
+        row_m = []
+        for w in range(w_max + 1):
+            basis = bases[m][w]
+            column = dict(zip(basis, range(len(basis)))).get
+            rows = []
+            for w_gen in range(k + 1, w + 1) if m > k else ():
+                for mu in bases[m - k - 1][w - w_gen]:
+                    if skip(mu, w_gen, width):
+                        continue
+                    row = {}
+                    for mono, mult in keyed(w_gen, k + 1):
+                        j = column(mu + mono)
+                        if j is not None:
+                            row[j] = mult
+                    if row:
+                        rows.append(row)
+            row_m.append(len(basis) - integer_matrix_rank(rows))
+        entries.append(tuple(row_m))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pruned_rows_span_every_product(k):
+    for m_max, w_max in [(6, 14), (8, 20), (10, 22)]:
+        for e in range(1, k + 2):
+            got = hilbert_table(k, e, m_max, w_max).entries
+            assert got == unpruned_table(k, e, m_max, w_max), (e, m_max, w_max)
+
+
+def test_pruning_is_not_vacuous(monkeypatch):
+    # hilbert_table ranks fewer rows than the reference. And the rows at
+    # r_((k+1)s) are what the identity cannot replace: skipping every
+    # multiplier that holds the part s as well loses rank. That shows at
+    # e = 1 (s = 2); at e >= 2 (s = 1) those rows are y_1^(k+1) * mu, with k+2
+    # or more ones, and empty in every basis
+    m_max, w_max = 8, 20
+    ranked = []
+    rank = ideal_quotient.integer_matrix_rank
+
+    def counting(rows):
+        ranked[-1] += len(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(ideal_quotient, "integer_matrix_rank", counting)
+    monkeypatch.setitem(globals(), "integer_matrix_rank", counting)
+    for k, e in [(2, 1), (2, 2), (3, 3)]:
+        ranked.append(0)
+        hilbert_table(k, e, m_max, w_max)
+        ranked.append(0)
+        unpruned_table(k, e, m_max, w_max)
+        assert ranked[-2] < ranked[-1], (k, e, ranked)
+
+    k = 2
+    for e, s, differs in [(1, 2, True), (2, 1, False)]:
+        def holds_s(mu, w_gen, width, s=s):
+            return (mu >> width * s) & ((1 << width) - 1)
+
+        over_pruned = unpruned_table(k, e, m_max, w_max, holds_s)
+        assert (over_pruned != hilbert_table(k, e, m_max, w_max).entries) == differs, e
 
 
 def test_hilbert_table_ranks_each_cell_once_through_the_module_global(monkeypatch):
