@@ -12,7 +12,9 @@ Most products are redundant: differentiating Y(z)^(k+1), with
 Y(z) = sum_j y_j z^j, gives sum_j (n - (k+2) j) * y_j * r_(n-j) = 0. So for
 e >= 2 a product mu * r_w whose multiplier mu holds y_1, with w != k+1, is a
 combination of products with heavier multipliers, and hilbert_table leaves it
-out.
+out. The Koszul relation r_a * r_b = r_b * r_a does the same for mu * r_b when
+mu holds the most balanced partition of some a < b into k+1 parts, which
+happens exactly when mu breaks Gordon's difference condition.
 """
 
 from collections import Counter
@@ -48,6 +50,60 @@ def derivative_identity(k, n):
 
 print("The derivative identity sum_j (n - 3j) * y_j * r_(n-j) = 0 for k=1, n <= 8:",
       all(not any(derivative_identity(k, n).values()) for n in range(k + 2, 9)))
+print()
+
+
+def koszul_floor(mu):
+    """The least a >= k+1 whose most balanced partition into k+1 parts,
+    (q+1)^r q^(k+1-r) with a = (k+1)q + r, lies inside mu, or None."""
+    have = Counter(mu)
+    for a in range(k + 1, sum(mu) + 1):
+        q, r = divmod(a, k + 1)
+        if have[q + 1] >= r and have[q] >= k + 1 - r:
+            return a
+    return None
+
+
+def cell_rows(m, w, skip):
+    """The nonzero products mu * r_(w_gen) of the cell (m, w) that skip does
+    not name, as sparse rows over the monomials with fewer than e ones."""
+    basis = [lam for lam in partitions_exact(w, m) if lam.count(1) < e]
+    column = {lam: j for j, lam in enumerate(basis)}
+    rows = []
+    for w_gen in range(k + 1, w + 1):
+        for mu in partitions_exact(w - w_gen, m - k - 1):
+            if mu.count(1) >= e or skip(mu, w_gen):
+                continue
+            row = {}
+            for lam, mult in r_polynomial(k, w_gen):
+                j = column.get(tuple(sorted(mu + lam, reverse=True)))
+                if j is not None:
+                    row[j] = mult
+            if row:
+                rows.append(row)
+    return len(basis), rows
+
+
+def derivative_rule(mu, w_gen):
+    """The derivative identity's skip at e >= 2, where s = 1."""
+    return 1 in mu and w_gen != k + 1
+
+
+def both_rules(mu, w_gen):
+    floor = koszul_floor(mu)
+    return derivative_rule(mu, w_gen) or floor is not None and floor < w_gen
+
+
+cm, cw = 2 * (k + 1), 20
+print(f"Rows ranked for the cell m={cm}, w={cw} (k={k}, e={e}):")
+dims = []
+for name, skip in [("every product", lambda mu, w_gen: False),
+                   ("derivative rule", derivative_rule),
+                   ("derivative and Koszul rules", both_rules)]:
+    size, rows = cell_rows(cm, cw, skip)
+    dims.append(size - integer_matrix_rank(rows))
+    print(f"  {name}: {len(rows)} rows, dimension {dims[-1]}")
+print("  the three dimensions are equal:", len(set(dims)) == 1)
 print()
 
 mm, wm = 4, 10

@@ -43,9 +43,9 @@ from .series import MAX_CELLS, BiSeries, specialize_x
 # oracle and crosscheck build full ideal-quotient tables; beyond this window
 # the exact rank computations stop being interactive-fast, so larger requests
 # are rejected as usage errors rather than left to crawl. At the edge,
-# crosscheck --mmax 12 --wmax 30 takes about 0.55 s at k = 2 and 3, 0.4-0.5 s
-# at k = 4 and 5 and 0.2 s at k=8, as a subprocess on Python 3.11.7 and a
-# shared 2-core x86-64
+# crosscheck --mmax 12 --wmax 30 takes about 0.15 s at k=1, 0.3 s at k=2,
+# 0.45-0.5 s at k = 3, 4 and 5 and 0.25 s at k=8, as a subprocess on
+# Python 3.11.7 and a shared 2-core x86-64
 ORACLE_MAX_M = 12
 ORACLE_MAX_W = 30
 # verify-gordon counts partitions with one transfer table per counter and

@@ -38,7 +38,23 @@ multiplier mu = y_s * nu the product mu * r_w is a combination of the
 products (nu * y_j) * r_(w+s-j), j > s, whose multipliers weigh more. By
 induction from the heaviest multiplier down, the products whose multiplier
 holds no part s, together with those at w = (k+1)s, span every product of the
-cell, and only they are ranked.
+cell.
+
+A second relation, r_a * r_b = r_b * r_a, finds more, at every e alike. Order
+a cell's multipliers by (weight, key). For a >= k+1 the least-key partition
+of a into k+1 parts is lambda0(a) = (q+1)^r q^(k+1-r), with a = (k+1)q + r.
+With k+1 <= a < b, the relation nu * (r_a * r_b - r_b * r_a) = 0 gives the
+product (nu * y_lambda0(a)) * r_b a nonzero multinomial coefficient and
+writes it through products whose multipliers are heavier (nu * y_lambda,
+lambda a partition of b) or as heavy with a larger key (nu * y_lambda,
+lambda != lambda0(a) a partition of a). Both relations replace a product only
+by products with greater multipliers, so by induction from the greatest
+multiplier down the products that neither replaces span every product of
+the cell, and only they are ranked. The least a with lambda0(a) dividing mu
+is mu's Koszul floor: it is (k+1)q + max(0, k+1 - f_q) at the least part q
+with f_q >= 1 and f_q + f_(q+1) >= k+1 (f_j the multiplicity of the part j),
+so a monomial that meets Gordon's difference condition f_q + f_(q+1) <= k
+has none, and mu * r_b is skipped when b is above mu's floor.
 
 Nothing here touches the recursion system or the multisum: quotient
 dimensions come out of monomial counts and integer row reduction alone,
@@ -116,6 +132,27 @@ def keyed_partitions(width: int) -> Callable[[int, int], list[tuple[int, int]]]:
                 for j in range(p + 1) for key, mult in keyed(n - p, p - j)]
 
     return keyed
+
+
+def koszul_floor(mu: int, k: int, width: int) -> int | None:
+    """The least a >= k+1 whose least-key partition into k+1 parts,
+    (q+1)^r q^(k+1-r) with a = (k+1)q + r, divides the monomial with key mu,
+    or None if there is none, as for every monomial that meets Gordon's
+    difference condition f_q + f_(q+1) <= k.
+
+    Its least part q is the floor's: the least q with f_q >= 1 and
+    f_q + f_(q+1) >= k+1, where the floor is (k+1)q + max(0, k+1 - f_q).
+    """
+    mask = (1 << width) - 1
+    digits = mu >> width
+    q, f_q = 1, digits & mask
+    while digits:
+        digits >>= width
+        f_next = digits & mask
+        if f_q and f_q + f_next > k:
+            return (k + 1) * q + max(0, k + 1 - f_q)
+        q, f_q = q + 1, f_next
+    return None
 
 
 def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
@@ -204,12 +241,16 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     with e or more ones are dropped, a product whose multiplier mu holds the
     part s (s = 1 when e >= 2, s = 2 when e = 1, where the j = 1 term lies in
     the ideal), with w != (k+1)s, is a combination of products whose
-    multipliers weigh more. So, by induction on the multiplier's weight
-    from the heaviest down, the other products span the same space, and the
-    rank is taken of them alone (at s = 1 the products kept at w = k+1 are
-    y_1^(k+1) * mu, which lie outside every basis). The rows are ranked in
-    the order they are made, generator weight ascending and then mu in
-    basis order.
+    multipliers weigh more (at s = 1 the products kept at w = k+1 are
+    y_1^(k+1) * mu, which lie outside every basis). By the Koszul relation
+    r_a * r_b = r_b * r_a, a product mu * r_b whose multiplier's Koszul floor
+    (``koszul_floor``) is below b is a combination of products whose
+    multipliers are heavier, or as heavy with a larger key. So, by induction
+    on the multiplier in (weight, key) order from the greatest down, the
+    products that neither rule skips span the same space, and the rank is
+    taken of them alone; a multiplier that meets Gordon's difference
+    condition has no floor. The rows are ranked in the order they are made,
+    generator weight ascending and then mu in basis order.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -228,6 +269,14 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     # r_w with w != (k+1)s, gives a row in the span of heavier multipliers' rows
     s = 1 if e > 1 else 2
     shift, mask = width * s, (1 << width) - 1
+    # the Koszul floor of each multiplier that has a cell (charge below
+    # m_max - k), w_max + 1 where it has none: mu * r_w with w above the floor
+    # is in the span of greater multipliers' rows. Only a charge above k holds
+    # k+1 parts, and a weight of w_max - k or more leaves no room for an r_w
+    no_floor = w_max + 1
+    floors = [[[koszul_floor(mu, k, width) or no_floor for mu in basis]
+               if m > k and w < w_max - k else [no_floor] * len(basis)
+               for w, basis in enumerate(bases[m])] for m in range(m_max - k)]
     entries = []
     for m in range(m_max + 1):
         row_m = []
@@ -242,8 +291,8 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
             for w_gen in range(k + 1, w + 1) if m > k else ():
                 r_poly = keyed(w_gen, k + 1)
                 prune = w_gen != (k + 1) * s
-                for mu in bases[m - k - 1][w - w_gen]:
-                    if prune and (mu >> shift) & mask:
+                for mu, floor in zip(bases[m - k - 1][w - w_gen], floors[m - k - 1][w - w_gen]):
+                    if floor < w_gen or prune and (mu >> shift) & mask:
                         continue
                     row: dict[int, int] = {}
                     for mono, mult in r_poly:

@@ -16,7 +16,7 @@ from qgordon import (
     solve,
 )
 from qgordon import ideal_quotient
-from qgordon.ideal_quotient import keyed_partitions
+from qgordon.ideal_quotient import keyed_partitions, koszul_floor
 
 # multisum at window (4, 10) for level 1, vacuum member; computed once by an
 # independent brute-force tuple enumeration and frozen here
@@ -381,12 +381,52 @@ def test_pruned_rows_span_every_product(k):
             assert got == unpruned_table(k, e, m_max, w_max), (e, m_max, w_max)
 
 
+def derivative_rule(k, e):
+    """The skip of unpruned_table that drops exactly the rows of the
+    derivative rule: a multiplier holding the part s, with w_gen != (k+1)s."""
+    s = 1 if e > 1 else 2
+
+    def holds_s(mu, w_gen, width):
+        return w_gen != (k + 1) * s and (mu >> width * s) & ((1 << width) - 1)
+
+    return holds_s
+
+
+def test_koszul_floor():
+    # the part scan against a search for the least a >= k+1 whose least-key
+    # partition into k+1 parts divides mu, on every multiplier of the window
+    # (10, 22); a monomial has a floor exactly when it breaks Gordon's
+    # difference condition f_q + f_(q+1) <= k
+    m_max, w_max = 10, 22
+    width = max(m_max, 1).bit_length()
+    mask = (1 << width) - 1
+    keyed = keyed_partitions(width)
+
+    def divides(lam, mu):
+        return all((lam >> width * j) & mask <= (mu >> width * j) & mask
+                   for j in range(w_max + 1))
+
+    for k in range(1, 5):
+        for m in range(m_max + 1):
+            for w in range(w_max + 1):
+                for lam in partitions_exact(w, m):
+                    mu = key_of(lam, width)
+                    want = next((a for a in range(k + 1, w + 1)
+                                 if divides(min(key for key, _ in keyed(a, k + 1)), mu)), None)
+                    assert koszul_floor(mu, k, width) == want, (k, lam)
+                    gordon = all(lam.count(q) + lam.count(q + 1) <= k for q in set(lam))
+                    assert (want is None) == gordon, (k, lam)
+
+
 def test_pruning_is_not_vacuous(monkeypatch):
-    # hilbert_table ranks fewer rows than the reference. And the rows at
-    # r_((k+1)s) are what the identity cannot replace: skipping every
-    # multiplier that holds the part s as well loses rank. That shows at
-    # e = 1 (s = 2); at e >= 2 (s = 1) those rows are y_1^(k+1) * mu, with k+2
-    # or more ones, and empty in every basis
+    # hilbert_table ranks fewer rows than the reference, and fewer than the
+    # derivative rule alone. The rows at r_((k+1)s) are what the derivative
+    # identity cannot replace: skipping every multiplier that holds the part
+    # s as well loses rank. That shows at e = 1 (s = 2); at e >= 2 (s = 1)
+    # those rows are y_1^(k+1) * mu, with k+2 or more ones, and empty in
+    # every basis. Likewise the Koszul relation r_a * r_b = r_b * r_a
+    # replaces mu * r_b only for b above mu's floor a: skipping b = a as
+    # well, through the trivial relation at a = b, loses rank
     m_max, w_max = 8, 20
     ranked = []
     rank = ideal_quotient.integer_matrix_rank
@@ -395,14 +435,21 @@ def test_pruning_is_not_vacuous(monkeypatch):
         ranked[-1] += len(rows)
         return rank(rows)
 
+    def rows_ranked(table, *args):
+        ranked.append(0)
+        table(*args)
+        return ranked.pop()
+
     monkeypatch.setattr(ideal_quotient, "integer_matrix_rank", counting)
     monkeypatch.setitem(globals(), "integer_matrix_rank", counting)
     for k, e in [(2, 1), (2, 2), (3, 3)]:
-        ranked.append(0)
-        hilbert_table(k, e, m_max, w_max)
-        ranked.append(0)
-        unpruned_table(k, e, m_max, w_max)
-        assert ranked[-2] < ranked[-1], (k, e, ranked)
+        pruned = rows_ranked(hilbert_table, k, e, m_max, w_max)
+        assert pruned < rows_ranked(unpruned_table, k, e, m_max, w_max), (k, e)
+    for k, e in [(1, 1), (2, 2), (2, 3)]:
+        pruned = rows_ranked(hilbert_table, k, e, m_max, w_max)
+        derivative_only = rows_ranked(unpruned_table, k, e, m_max, w_max, derivative_rule(k, e))
+        assert pruned < derivative_only, (k, e)
+    monkeypatch.undo()
 
     k = 2
     for e, s, differs in [(1, 2, True), (2, 1, False)]:
@@ -411,6 +458,16 @@ def test_pruning_is_not_vacuous(monkeypatch):
 
         over_pruned = unpruned_table(k, e, m_max, w_max, holds_s)
         assert (over_pruned != hilbert_table(k, e, m_max, w_max).entries) == differs, e
+
+    for k in range(1, 4):
+        m_max = 2 * (k + 1) + 2
+        for e in range(1, k + 2):
+            def at_or_above_floor(mu, w_gen, width, derivative=derivative_rule(k, e)):
+                floor = koszul_floor(mu, k, width)
+                return derivative(mu, w_gen, width) or floor is not None and floor <= w_gen
+
+            over_pruned = unpruned_table(k, e, m_max, w_max, at_or_above_floor)
+            assert over_pruned != hilbert_table(k, e, m_max, w_max).entries, (k, e)
 
 
 def test_hilbert_table_ranks_each_cell_once_through_the_module_global(monkeypatch):
