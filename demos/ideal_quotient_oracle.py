@@ -115,7 +115,7 @@ print("One bidegree worked out, charge m=2 and weight w=4:")
 print("  monomial basis: y_3*y_1, y_2*y_2 (partitions of 4 into 2 parts)")
 print("  ideal piece spanned by r_4 = 2*y_3*y_1 + y_2*y_2, rank",
       integer_matrix_rank([r4_row]))
-print("  quotient dimension:", table.dim(2, 4),
+print("  quotient dimension:", table.entries[2][4],
       "(the surviving class corresponds to the difference-2 partition [3,1])")
 print()
 

@@ -179,7 +179,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(table.to_biseries().to_json_text())
     else:
-        sys.stdout.write(table.to_tsv())
+        print("m\tw\tdim")
+        for m, row in enumerate(table.entries):
+            sys.stdout.writelines(f"{m}\t{w}\t{d}\n" for w, d in enumerate(row))
     return 0
 
 

@@ -203,27 +203,9 @@ class DimensionTable:
     e: int
     entries: tuple[tuple[int, ...], ...]  # entries[m][w]
 
-    @property
-    def m_max(self) -> int:
-        return len(self.entries) - 1
-
-    @property
-    def w_max(self) -> int:
-        return len(self.entries[0]) - 1
-
-    def dim(self, m: int, w: int) -> int:
-        return self.entries[m][w]
-
     def to_biseries(self) -> BiSeries:
-        """The table as a series with dim(m, w) at x^m q^w."""
-        return BiSeries(self.m_max, self.w_max, self.entries)
-
-    def to_tsv(self) -> str:
-        lines = ["m\tw\tdim"]
-        for m, row in enumerate(self.entries):
-            for w, d in enumerate(row):
-                lines.append(f"{m}\t{w}\t{d}")
-        return "\n".join(lines) + "\n"
+        """The table as a series with entries[m][w] at x^m q^w."""
+        return BiSeries(len(self.entries) - 1, len(self.entries[0]) - 1, self.entries)
 
 
 def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:

@@ -256,6 +256,17 @@ def test_oracle_tsv(capsys):
     assert "2\t4\t1" in lines
 
 
+def test_oracle_tsv_shape(capsys):
+    # the header, then one line per cell of the window, m outer and w inner
+    code, out, _ = run(capsys, "oracle", "--k", "1", "--e", "1", "--mmax", "1",
+                       "--wmax", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "m\tw\tdim"
+    assert len(lines) == 1 + 2 * 3
+    assert lines[1] == "0\t0\t1"
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(capsys, "oracle", "--k", "1", "--e", "2", "--mmax", "2",
                        "--wmax", "5", "--format", "json")

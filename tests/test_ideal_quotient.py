@@ -251,9 +251,9 @@ def test_keyed_partitions_lists_each_partition_once_fewest_ones_first():
 def test_ideal_span_examples():
     # the ideal's piece of bidegree (m, w) has dimension |partitions| - dim
     table = hilbert_table(1, 2, 2, 8)
-    assert len(partitions_exact(2, 2)) - table.dim(2, 2) == 1
-    assert len(partitions_exact(4, 2)) - table.dim(2, 4) == 1
-    assert len(partitions_exact(0, 0)) - table.dim(0, 0) == 0
+    assert len(partitions_exact(2, 2)) - table.entries[2][2] == 1
+    assert len(partitions_exact(4, 2)) - table.entries[2][4] == 1
+    assert len(partitions_exact(0, 0)) - table.entries[0][0] == 0
 
 
 def full_span_dimension(k, e, m, w):
@@ -342,17 +342,16 @@ def test_derivative_identity_of_the_generators():
                 assert any(wrong.values()), (k, n)
 
 
-def unpruned_table(k, e, m_max, w_max, skip=lambda mu, w_gen, width: False):
-    """hilbert_table's entries with every product mu * r_w ranked, except
-    those skip(mu, w_gen, width) names: the row loop as it was before the
+def unpruned_cells(k, e, m_max, w_max, skip=lambda mu, w_gen, width: False):
+    """Each cell of the window as (m, w, basis, rows): its basis keys and, as
+    sparse rows over them, every product mu * r_w except those
+    skip(mu, w_gen, width) names. This is the row loop as it was before the
     derivative identity pruned it, kept as the reference."""
     width = max(m_max, 1).bit_length()
     keyed = keyed_partitions(width)
     bases = [[[(key + j) << width for j in range(min(e, m + 1)) for key, _ in keyed(w - m, m - j)]
               for w in range(w_max + 1)] for m in range(m_max + 1)]
-    entries = []
     for m in range(m_max + 1):
-        row_m = []
         for w in range(w_max + 1):
             basis = bases[m][w]
             column = dict(zip(basis, range(len(basis)))).get
@@ -368,9 +367,15 @@ def unpruned_table(k, e, m_max, w_max, skip=lambda mu, w_gen, width: False):
                             row[j] = mult
                     if row:
                         rows.append(row)
-            row_m.append(len(basis) - integer_matrix_rank(rows))
-        entries.append(tuple(row_m))
-    return tuple(entries)
+            yield m, w, basis, rows
+
+
+def unpruned_table(k, e, m_max, w_max, skip=lambda mu, w_gen, width: False):
+    """hilbert_table's entries with the rows of unpruned_cells ranked."""
+    entries = [[] for _ in range(m_max + 1)]
+    for m, _, basis, rows in unpruned_cells(k, e, m_max, w_max, skip):
+        entries[m].append(len(basis) - integer_matrix_rank(rows))
+    return tuple(map(tuple, entries))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -416,6 +421,39 @@ def test_koszul_floor():
                     assert koszul_floor(mu, k, width) == want, (k, lam)
                     gordon = all(lam.count(q) + lam.count(q + 1) <= k for q in set(lam))
                     assert (want is None) == gordon, (k, lam)
+
+
+def meets_gordon(key, level, width):
+    """Whether f_j + f_(j+1) <= level for every part j of the monomial with
+    this key, f_j the multiplicity of j: the digit of j in base 2^width."""
+    mask = (1 << width) - 1
+    f = [(key >> width * j) & mask for j in range(key.bit_length() // width + 2)]
+    return all(a + b <= level for a, b in zip(f, f[1:]))
+
+
+def gordon_basis_failures(k, e, m_max, w_max, level):
+    """The cells (m, w) where the basis monomials that meet the difference
+    condition at this level are not a basis of the quotient: their unit rows,
+    after every product mu * r_w, must add one pivot each, and their number
+    must be the dimension hilbert_table gives the cell."""
+    width = max(m_max, 1).bit_length()
+    table = hilbert_table(k, e, m_max, w_max).entries
+    failed = []
+    for m, w, basis, rows in unpruned_cells(k, e, m_max, w_max):
+        units = [{j: 1} for j, key in enumerate(basis) if meets_gordon(key, level, width)]
+        if len(units) != table[m][w] or integer_matrix_rank(rows + units) != len(basis):
+            failed.append((m, w))
+    return failed
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_gordon_monomials_are_a_basis_of_the_quotient(k):
+    # Feigin-Stoyanovsky: at level k and exponent e, the monomials with fewer
+    # than e ones and f_j + f_(j+1) <= k span the quotient independently. The
+    # check is not vacuous: with level k+1 in the condition at e = k+1 it fails
+    for e in range(1, k + 2):
+        assert gordon_basis_failures(k, e, 8, 20, k) == [], e
+    assert gordon_basis_failures(k, k + 1, 8, 20, k + 1)
 
 
 def test_pruning_is_not_vacuous(monkeypatch):
@@ -492,9 +530,9 @@ def test_hilbert_table_ranks_each_cell_once_through_the_module_global(monkeypatc
 def test_quotient_examples():
     table = hilbert_table(1, 2, 2, 8)
     for w in range(1, 9):
-        assert table.dim(1, w) == 1
-    assert table.dim(2, 4) == 1
-    assert hilbert_table(1, 1, 1, 4).dim(1, 1) == 0
+        assert table.entries[1][w] == 1
+    assert table.entries[2][4] == 1
+    assert hilbert_table(1, 1, 1, 4).entries[1][1] == 0
 
 
 def test_hilbert_table_validation():
@@ -534,7 +572,7 @@ def test_y_power_redundant_at_top_exponent():
         for m in range(4):
             for w in range(9):
                 without = len(partitions_exact(w, m)) - full_span_dimension(k, None, m, w)
-                assert with_power.dim(m, w) == without, (m, w)
+                assert with_power.entries[m][w] == without, (m, w)
 
 
 def test_quotient_monotone_in_exponent():
@@ -543,19 +581,11 @@ def test_quotient_monotone_in_exponent():
     for lo, hi in zip(tables, tables[1:]):
         for m in range(mm + 1):
             for w in range(wm + 1):
-                assert lo.dim(m, w) <= hi.dim(m, w)
+                assert lo.entries[m][w] <= hi.entries[m][w]
 
 
 def test_rank_bounds():
     table = hilbert_table(2, 2, 4, 9)
     for m in range(5):
         for w in range(10):
-            assert 0 <= table.dim(m, w) <= len(partitions_exact(w, m))
-
-
-def test_table_tsv_shape():
-    table = hilbert_table(1, 1, 1, 2)
-    lines = table.to_tsv().splitlines()
-    assert lines[0] == "m\tw\tdim"
-    assert len(lines) == 1 + 2 * 3
-    assert lines[1] == "0\t0\t1"
+            assert 0 <= table.entries[m][w] <= len(partitions_exact(w, m))
