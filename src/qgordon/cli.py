@@ -14,11 +14,16 @@ Each integer option's domain is its argparse type, so a value outside it
 fails while parsing, with argparse's usage and error lines on standard
 error. The subcommands check only the rules between options (t <= l,
 e <= k+1 and the MAX_CELLS cap), each with one error line.
+
+main() builds its parser once per process and reuses it on every later
+call, so a script or test that calls main() many times pays for argparse
+once; a console-script run calls it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -275,7 +280,11 @@ def _int_in(low: int, high: int | None = None, why: str = "") -> Callable[[str],
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The qgordon parser, built on the first call and shared by every later
+    one: parsing leaves it unchanged, and it looks up sys.stdout and
+    sys.stderr only when it prints."""
     positive, nonnegative = _int_in(1), _int_in(0)
     soft = " (soft limit of the ideal-quotient route)"
     charge, weight = _int_in(0, ORACLE_MAX_M, soft), _int_in(0, ORACLE_MAX_W, soft)
@@ -340,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -124,9 +124,10 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
     # each step of N_pos above low divides it once more by 1 - q^(N_pos - low)
     def rec(pos: int, low: int, m: int, energy: int, den: list[int]) -> None:
         if pos == 0:
-            target = rows[m]
-            for b in range(N - energy + 1):
-                target[energy + b] += den[b]
+            # one pass over the slice is exact because len(den) == N - energy + 1
+            # at a leaf: the last step cut den to N - least + 1 entries, and at
+            # pos = 1 least is this leaf's energy
+            rows[m][energy:] = map(add, rows[m][energy:], den)
             return
         row = den[:]
         v = low

@@ -182,7 +182,10 @@ def solve(k: int, x_order: int, q_order: int) -> RecursionFamily:
     rows = [[(1,) + (0,) * N]]
     for m in range(1, R + 1):
         bumps = [shift_row(rows[m - i][min(k - i, m - i)], m) for i in range(1, min(k, m) + 1)]
-        top = [sum(column) for column in zip(*bumps)]
+        # a list even for a single bump: the division works in place
+        top = list(bumps[0])
+        for bump in bumps[1:]:
+            top = list(map(add, top, bump))
         div_one_minus_q_power(top, m)
         top = tuple(top)
         row = [shift_row(top, m)]

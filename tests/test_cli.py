@@ -1,5 +1,6 @@
 """Command line surface: exit codes, formats, and determinism."""
 
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -152,6 +153,29 @@ def test_no_command_and_unknown_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # main() reuses one parser, and neither a usage error nor --help leaves
+    # anything behind in it. Each construction, subparsers included, passes
+    # through ArgumentParser.__init__
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    verify = ("verify-gordon", "--l", "3", "--t", "2", "--qmax", "20")
+    first = run(capsys, *verify)
+    usage = run(capsys, "verify-gordon", "--l", "3", "--t", "x", "--qmax", "20")
+    assert usage[0] == 2 and usage[1] == "" and "invalid int value" in usage[2]
+    assert run(capsys, "--help")[0] == 0
+    second = run(capsys, *verify)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1] and first[1].count("\tmatch\n") == 3
+    assert len(built) <= 1
 
 
 def test_verify_gordon(capsys):

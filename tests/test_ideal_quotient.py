@@ -456,6 +456,72 @@ def test_gordon_monomials_are_a_basis_of_the_quotient(k):
     assert gordon_basis_failures(k, k + 1, 8, 20, k + 1)
 
 
+def exact_sequence_failures(k, m_max, w_max, shift=0):
+    """The cells where phi: A/I_(k-i+1) -> A/I_(i+1), phi(f) = y_1^i tau(f)
+    with tau(y_j) = y_(j+1), is not well defined or not injective, as two
+    lists of (i, m, w) over the target cells, for each member i = 1..k whose
+    source exponent k - i + 1 + shift lies in 1..k+1. This is the map of the
+    paper's exact sequence 0 -> A/I_(k-i+1) -> A/I_(i+1) -> A/I_i -> 0.
+
+    On keys, tau shifts a key left by width and y_1^i adds i ones, so phi
+    sends the key K of charge m - i and weight w - m to (K + i) << width, a
+    monomial with exactly i ones: one column of the target basis. After the
+    target's relation rows, the images of the source ideal (its relation rows
+    and its monomials with e or more ones) must add no pivot, and then the
+    images of the source basis must add as many pivots as the source cell's
+    dimension."""
+    width = max(m_max, 1).bit_length()
+    keyed = keyed_partitions(width)
+    ill_defined, not_injective = [], []
+    for i in range(1, k + 1):
+        e = k - i + 1 + shift
+        if not 1 <= e <= k + 1:
+            continue
+        dims = hilbert_table(k, e, m_max, w_max).entries
+        source = {(m, w): (basis, rows)
+                  for m, w, basis, rows in unpruned_cells(k, e, m_max, w_max)}
+        for m, w, target, relations in unpruned_cells(k, i + 1, m_max, w_max):
+            if m < i or w < m:
+                continue
+            column = dict(zip(target, range(len(target))))
+            m_src, w_src = m - i, w - m
+            basis, rows = source[m_src, w_src]
+            image = [column[(key + i) << width] for key in basis]
+            in_ideal = [(key + j) << width for j in range(e, m_src + 1)
+                        for key, _ in keyed(w_src - m_src, m_src - j)]
+            ideal_rows = [{image[c]: v for c, v in row.items()} for row in rows]
+            ideal_rows += [{column[(key + i) << width]: 1} for key in in_ideal]
+            units = [{c: 1} for c in image]
+            before = integer_matrix_rank(relations)
+            defined = integer_matrix_rank(relations + ideal_rows)
+            if defined != before:
+                ill_defined.append((i, m, w))
+            if integer_matrix_rank(relations + ideal_rows + units) - defined != dims[m_src][w_src]:
+                not_injective.append((i, m, w))
+    return ill_defined, not_injective
+
+
+@pytest.mark.parametrize("k, m_max, w_max", [
+    *((k, 6, 14) for k in range(1, 6)), (2, 8, 20), (3, 8, 20),
+])
+def test_exact_sequences_of_the_members(k, m_max, w_max):
+    # phi is well defined and injective for every member; it uses the
+    # ideal's generators alone, never solve or the multisum
+    assert exact_sequence_failures(k, m_max, w_max) == ([], [])
+
+
+def test_exact_sequences_fail_at_a_wrong_source_exponent():
+    # one too large: the source ideal is smaller, so phi stays well defined
+    # but is not injective, in 53 cells at k=2 and 75 at k=3. One too small:
+    # the source ideal holds more, first y_1 at k=2, i=1, whose image y_1 y_2
+    # lies outside I_2
+    for k, cells in [(2, 53), (3, 75)]:
+        ill_defined, not_injective = exact_sequence_failures(k, 8, 20, shift=1)
+        assert ill_defined == [] and len(not_injective) == cells, k
+    ill_defined, _ = exact_sequence_failures(2, 8, 20, shift=-1)
+    assert ill_defined[0] == (1, 2, 3)
+
+
 def test_pruning_is_not_vacuous(monkeypatch):
     # hilbert_table ranks fewer rows than the reference, and fewer than the
     # derivative rule alone. The rows at r_((k+1)s) are what the derivative
