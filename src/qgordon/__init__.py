@@ -47,7 +47,6 @@ from .selberg import (
     weight_data,
 )
 from .ideal_quotient import (
-    DimensionTable,
     hilbert_table,
     integer_matrix_rank,
     partitions_exact,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiSeries",
-    "DimensionTable",
     "GordonCondition",
     "RecursionFamily",
     "WeightData",

@@ -38,7 +38,7 @@ multiplier mu = y_s * nu the product mu * r_w is a combination of the
 products (nu * y_j) * r_(w+s-j), j > s, whose multipliers weigh more. By
 induction from the heaviest multiplier down, the products whose multiplier
 holds no part s, together with those at w = (k+1)s, span every product of the
-cell.
+cell. At s = 1 those kept at w = k+1 are y_1^(k+1) * mu, outside every basis.
 
 A second relation, r_a * r_b = r_b * r_a, finds more, at every e alike. Order
 a cell's multipliers by (weight, key). For a >= k+1 the least-key partition
@@ -93,6 +93,7 @@ def partitions_exact(w: int, m: int) -> list[tuple[int, ...]]:
             acc.pop()
 
     rec(w, m, w, [])
+    del rec  # a closure that calls itself is a reference cycle: free it on return
     return out
 
 
@@ -199,8 +200,6 @@ def integer_matrix_rank(rows: list[dict[int, int]]) -> int:
 class DimensionTable:
     """Exact quotient dimensions on a rectangular (charge, weight) window."""
 
-    k: int
-    e: int
     entries: tuple[tuple[int, ...], ...]  # entries[m][w]
 
     def to_biseries(self) -> BiSeries:
@@ -218,21 +217,9 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     of the products mu * r_w over generators r_w and monomials mu of
     complementary bidegree, written as sparse rows in that basis.
 
-    Only part of those products is built. By the derivative identity
-    sum_j (n - (k+2) j) * y_j * r_(n-j) = 0, which holds after the monomials
-    with e or more ones are dropped, a product whose multiplier mu holds the
-    part s (s = 1 when e >= 2, s = 2 when e = 1, where the j = 1 term lies in
-    the ideal), with w != (k+1)s, is a combination of products whose
-    multipliers weigh more (at s = 1 the products kept at w = k+1 are
-    y_1^(k+1) * mu, which lie outside every basis). By the Koszul relation
-    r_a * r_b = r_b * r_a, a product mu * r_b whose multiplier's Koszul floor
-    (``koszul_floor``) is below b is a combination of products whose
-    multipliers are heavier, or as heavy with a larger key. So, by induction
-    on the multiplier in (weight, key) order from the greatest down, the
-    products that neither rule skips span the same space, and the rank is
-    taken of them alone; a multiplier that meets Gordon's difference
-    condition has no floor. The rows are ranked in the order they are made,
-    generator weight ascending and then mu in basis order.
+    Only the products that the derivative and Koszul relations of the module
+    docstring leave are built, and they are ranked in the order they are
+    made, generator weight ascending and then mu in basis order.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -251,14 +238,11 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
     # r_w with w != (k+1)s, gives a row in the span of heavier multipliers' rows
     s = 1 if e > 1 else 2
     shift, mask = width * s, (1 << width) - 1
-    # the Koszul floor of each multiplier that has a cell (charge below
-    # m_max - k), w_max + 1 where it has none: mu * r_w with w above the floor
-    # is in the span of greater multipliers' rows. Only a charge above k holds
-    # k+1 parts, and a weight of w_max - k or more leaves no room for an r_w
-    no_floor = w_max + 1
-    floors = [[[koszul_floor(mu, k, width) or no_floor for mu in basis]
-               if m > k and w < w_max - k else [no_floor] * len(basis)
-               for w, basis in enumerate(bases[m])] for m in range(m_max - k)]
+    # a multiplier's Koszul floor, w_max + 1 where it has none, found when it
+    # is first paired: mu * r_w with w above it is in the span of greater
+    # multipliers' rows. The lambda does not refer to itself, so its memo is
+    # freed on return
+    floor = functools.cache(lambda mu: koszul_floor(mu, k, width) or w_max + 1)
     entries = []
     for m in range(m_max + 1):
         row_m = []
@@ -273,8 +257,8 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
             for w_gen in range(k + 1, w + 1) if m > k else ():
                 r_poly = keyed(w_gen, k + 1)
                 prune = w_gen != (k + 1) * s
-                for mu, floor in zip(bases[m - k - 1][w - w_gen], floors[m - k - 1][w - w_gen]):
-                    if floor < w_gen or prune and (mu >> shift) & mask:
+                for mu in bases[m - k - 1][w - w_gen]:
+                    if prune and (mu >> shift) & mask or floor(mu) < w_gen:
                         continue
                     row: dict[int, int] = {}
                     for mono, mult in r_poly:
@@ -286,4 +270,4 @@ def hilbert_table(k: int, e: int, m_max: int, w_max: int) -> DimensionTable:
             row_m.append(len(basis) - integer_matrix_rank(rows))
         entries.append(tuple(row_m))
     keyed.cache_clear()  # the recursive closure is a reference cycle: free its memo now
-    return DimensionTable(k=k, e=e, entries=tuple(entries))
+    return DimensionTable(tuple(entries))

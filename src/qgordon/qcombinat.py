@@ -143,6 +143,7 @@ def andrews_gordon_multisum(k: int, i: int, x_order: int, q_order: int) -> BiSer
             v += 1
 
     rec(k, 0, 0, 0, [1] + [0] * N)
+    del rec  # a closure that calls itself is a reference cycle: free rows on return
     return BiSeries._of(map(tuple, rows))
 
 

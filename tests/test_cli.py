@@ -250,7 +250,7 @@ def test_crosscheck_reports_the_first_mismatch(capsys, monkeypatch):
         t = table(k, e, m_max, w_max)
         entries = [list(row) for row in t.entries]
         entries[3][9] += 1
-        return type(t)(t.k, t.e, tuple(map(tuple, entries)))
+        return dataclasses.replace(t, entries=tuple(map(tuple, entries)))
 
     monkeypatch.setattr(cli, "hilbert_table", faulty)
     code, out, _ = run(capsys, "crosscheck", "--k", "1", "--mmax", "4", "--wmax", "10")
@@ -381,7 +381,7 @@ def test_crosscheck_reports_a_fault_in_the_shared_table_for_every_member(
             return t
         entries = [list(row) for row in t.entries]
         entries[2][7] += 1
-        return type(t)(t.k, t.e, tuple(map(tuple, entries)))
+        return dataclasses.replace(t, entries=tuple(map(tuple, entries)))
 
     monkeypatch.setattr(cli, "hilbert_table", faulty)
     code, out, _ = run(capsys, "crosscheck", "--k", "12", "--mmax", "3", "--wmax", "10")
@@ -467,7 +467,7 @@ def test_crosscheck_finds_a_fault_in_the_shared_table_below_the_x_window(
             return t
         entries = [list(row) for row in t.entries]
         entries[2][3] += 1
-        return type(t)(t.k, t.e, tuple(map(tuple, entries)))
+        return dataclasses.replace(t, entries=tuple(map(tuple, entries)))
 
     monkeypatch.setattr(cli, "hilbert_table", faulty)
     lines = _crosscheck_below_the_x_window(capsys)

@@ -1,5 +1,6 @@
 """The ideal-quotient route: generators, exact rank, and dimension tables."""
 
+import gc
 import random
 import sys
 from collections import Counter
@@ -79,6 +80,20 @@ def test_partitions_exact():
     assert partitions_exact(3, 0) == []
     assert partitions_exact(2, 3) == []
     assert partitions_exact(6, 3) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
+
+
+def test_partitions_exact_leaves_no_cyclic_garbage():
+    # the recursive closure is deleted after the walk, so it and its list are
+    # freed on return, not at the collector's next pass
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        partitions_exact(10, 3)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_r_polynomial_small():
@@ -456,28 +471,35 @@ def test_gordon_monomials_are_a_basis_of_the_quotient(k):
     assert gordon_basis_failures(k, k + 1, 8, 20, k + 1)
 
 
-def exact_sequence_failures(k, m_max, w_max, shift=0):
+def exact_sequence_failures(k, m_max, w_max, shift=0, members=None):
     """The cells where phi: A/I_(k-i+1) -> A/I_(i+1), phi(f) = y_1^i tau(f)
-    with tau(y_j) = y_(j+1), is not well defined or not injective, as two
-    lists of (i, m, w) over the target cells, for each member i = 1..k whose
-    source exponent k - i + 1 + shift lies in 1..k+1. This is the map of the
-    paper's exact sequence 0 -> A/I_(k-i+1) -> A/I_(i+1) -> A/I_i -> 0.
+    with tau(y_j) = y_(j+1), is not well defined, not injective, or has an
+    image other than the kernel of the projection A/I_(i+1) -> A/I_i, as
+    three lists of (i, m, w) over the target cells, for each of the members
+    i (by default 1..k) whose source exponent k - i + 1 + shift lies in
+    1..k+1. This is the map of the paper's exact sequence
+    0 -> A/I_(k-i+1) -> A/I_(i+1) -> A/I_i -> 0; at i = 0 it is tau from
+    A/I_(k+1) to A/I_1.
 
     On keys, tau shifts a key left by width and y_1^i adds i ones, so phi
     sends the key K of charge m - i and weight w - m to (K + i) << width, a
     monomial with exactly i ones: one column of the target basis. After the
     target's relation rows, the images of the source ideal (its relation rows
-    and its monomials with e or more ones) must add no pivot, and then the
-    images of the source basis must add as many pivots as the source cell's
-    dimension."""
+    and its monomials with e or more ones) must add no pivot, then the images
+    of the source basis must add as many pivots as the source cell's
+    dimension, and the pivots not reached must be as many as the dimension of
+    A/I_i in the target cell."""
     width = max(m_max, 1).bit_length()
     keyed = keyed_partitions(width)
-    ill_defined, not_injective = [], []
-    for i in range(1, k + 1):
+    ill_defined, not_injective, not_exact = [], [], []
+    for i in range(1, k + 1) if members is None else members:
         e = k - i + 1 + shift
         if not 1 <= e <= k + 1:
             continue
         dims = hilbert_table(k, e, m_max, w_max).entries
+        # A/I_i, the cokernel of phi; A/I_0 is zero because I_0 holds 1
+        quotient = (hilbert_table(k, i, m_max, w_max).entries if i
+                    else [[0] * (w_max + 1)] * (m_max + 1))
         source = {(m, w): (basis, rows)
                   for m, w, basis, rows in unpruned_cells(k, e, m_max, w_max)}
         for m, w, target, relations in unpruned_cells(k, i + 1, m_max, w_max):
@@ -496,30 +518,41 @@ def exact_sequence_failures(k, m_max, w_max, shift=0):
             defined = integer_matrix_rank(relations + ideal_rows)
             if defined != before:
                 ill_defined.append((i, m, w))
-            if integer_matrix_rank(relations + ideal_rows + units) - defined != dims[m_src][w_src]:
+            spanned = integer_matrix_rank(relations + ideal_rows + units)
+            if spanned - defined != dims[m_src][w_src]:
                 not_injective.append((i, m, w))
-    return ill_defined, not_injective
+            if len(target) - spanned != quotient[m][w]:
+                not_exact.append((i, m, w))
+    return ill_defined, not_injective, not_exact
 
 
 @pytest.mark.parametrize("k, m_max, w_max", [
-    *((k, 6, 14) for k in range(1, 6)), (2, 8, 20), (3, 8, 20),
+    *((k, m_max, w_max) for m_max, w_max in [(6, 14), (10, 24)] for k in range(1, 6)),
+    (2, 8, 20), (3, 8, 20),
 ])
 def test_exact_sequences_of_the_members(k, m_max, w_max):
-    # phi is well defined and injective for every member; it uses the
-    # ideal's generators alone, never solve or the multisum
-    assert exact_sequence_failures(k, m_max, w_max) == ([], [])
+    # phi is well defined and injective for every member, and its image is
+    # the kernel of the projection; at i = 0 that makes tau: A/I_(k+1) ->
+    # A/I_1 an isomorphism cell by cell, which is F_0 = F_k(xq, q). It uses
+    # the ideal's generators alone, never solve or the multisum
+    assert exact_sequence_failures(k, m_max, w_max, members=range(k + 1)) == ([], [], [])
 
 
 def test_exact_sequences_fail_at_a_wrong_source_exponent():
     # one too large: the source ideal is smaller, so phi stays well defined
     # but is not injective, in 53 cells at k=2 and 75 at k=3. One too small:
     # the source ideal holds more, first y_1 at k=2, i=1, whose image y_1 y_2
-    # lies outside I_2
+    # lies outside I_2. Likewise tau from A/I_k: y_1^k maps to y_2^k, which
+    # meets the difference condition and so lies outside I_1, in 26 cells at
+    # k=2 and 22 at k=3
     for k, cells in [(2, 53), (3, 75)]:
-        ill_defined, not_injective = exact_sequence_failures(k, 8, 20, shift=1)
+        ill_defined, not_injective, _ = exact_sequence_failures(k, 8, 20, shift=1)
         assert ill_defined == [] and len(not_injective) == cells, k
-    ill_defined, _ = exact_sequence_failures(2, 8, 20, shift=-1)
+    ill_defined, _, _ = exact_sequence_failures(2, 8, 20, shift=-1)
     assert ill_defined[0] == (1, 2, 3)
+    for k, cells in [(2, 26), (3, 22)]:
+        ill_defined, _, _ = exact_sequence_failures(k, 8, 20, shift=-1, members=[0])
+        assert len(ill_defined) == cells, k
 
 
 def test_pruning_is_not_vacuous(monkeypatch):

@@ -1,5 +1,6 @@
 """Pochhammer symbols, Gordon products, multisums, and partition counting."""
 
+import gc
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -226,6 +227,20 @@ def test_multisum_k2_single_tuple_row():
     # coefficient of x^1 comes from the tuple (1, 0) alone: q/(1-q)
     s = andrews_gordon_multisum(2, 2, 3, 10)
     assert list(s.row(1)) == [0] + [1] * 10
+
+
+def test_multisum_leaves_no_cyclic_garbage():
+    # the recursive walk is deleted after it, so its working table (R+1
+    # rows of N+1) is freed on return, not at the collector's next pass
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        andrews_gordon_multisum(2, 1, 40, 400)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_multisum_validation():
